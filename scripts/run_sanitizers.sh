@@ -15,7 +15,9 @@ prefix="${1:-build}"
 # Tests that drive the parallel executor (plus the serial equivalents they
 # compare against), the concurrent query-service layer (shared plan cache,
 # admission control, multi-session stress), and the network front-end
-# (epoll loop vs. executor workers, concurrent histogram recording).
+# (epoll loop vs. executor workers, concurrent histogram recording), plus
+# the typed bulk builders (ASan covers their memcpy run bounds and bitmap
+# indexing).
 tests=(
   parallel_executor_test
   common_test
@@ -33,6 +35,7 @@ tests=(
   status_test
   external_sort_test
   delta_test
+  builders_test
 )
 
 run_flavor() {

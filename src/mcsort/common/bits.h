@@ -49,7 +49,7 @@ constexpr bool BankHolds(int bank, int w) { return w <= bank; }
 // Number of bits needed to represent values in [0, v] (at least 1).
 constexpr int BitsForValue(uint64_t v) {
   int bits = 1;
-  while (v >> bits) ++bits;
+  while (bits < 64 && (v >> bits) != 0) ++bits;
   return bits;
 }
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <numeric>
+#include <type_traits>
 #include <utility>
 
 #include "mcsort/common/bits.h"
@@ -62,6 +64,72 @@ DictMerge MergeDictionary(const StringDictionary& dict,
   return out;
 }
 
+// Live base oids as maximal [begin, end) runs: the complement of the
+// sorted tombstones. Duplicates and out-of-range oids are ignored.
+struct OidRun {
+  size_t begin;
+  size_t end;
+};
+
+std::vector<OidRun> LiveRuns(size_t n_base, std::vector<uint32_t> tombstones) {
+  std::sort(tombstones.begin(), tombstones.end());
+  std::vector<OidRun> runs;
+  size_t next = 0;
+  for (uint32_t oid : tombstones) {
+    if (oid >= n_base) break;
+    if (oid > next) runs.push_back({next, oid});
+    next = size_t{oid} + 1;
+  }
+  if (next < n_base) runs.push_back({next, n_base});
+  return runs;
+}
+
+// Largest code among the live base rows (0 when there are none).
+uint64_t MaxLiveCode(const EncodedColumn& column,
+                     const std::vector<OidRun>& runs) {
+  return VisitCodes(column, [&](const auto* codes) {
+    std::remove_const_t<std::remove_pointer_t<decltype(codes)>> hi = 0;
+    for (const OidRun& run : runs) {
+      for (size_t i = run.begin; i < run.end; ++i) {
+        hi = std::max(hi, codes[i]);
+      }
+    }
+    return static_cast<uint64_t>(hi);
+  });
+}
+
+// Writes the live base codes of `src`, each mapped through `map`, to the
+// front of `dst` in oid order.
+template <typename Map>
+void MapLiveRuns(const EncodedColumn& src, const std::vector<OidRun>& runs,
+                 Map map, EncodedColumn* dst) {
+  VisitCodes(src, [&](const auto* in) {
+    VisitCodes(*dst, [&](auto* out) {
+      using Out = std::remove_pointer_t<decltype(out)>;
+      for (const OidRun& run : runs) {
+        for (size_t i = run.begin; i < run.end; ++i) {
+          *out++ = static_cast<Out>(map(in[i]));
+        }
+      }
+    });
+  });
+}
+
+// The identity mapping over an unchanged physical type: the live runs are
+// copied as raw bytes.
+void CopyLiveRuns(const EncodedColumn& src, const std::vector<OidRun>& runs,
+                  EncodedColumn* dst) {
+  MCSORT_CHECK(src.type() == dst->type());
+  const size_t bytes = static_cast<size_t>(BytesOfPhysicalType(src.type()));
+  const auto* in = static_cast<const uint8_t*>(src.raw_data());
+  auto* out = static_cast<uint8_t*>(dst->raw_data());
+  for (const OidRun& run : runs) {
+    const size_t len = (run.end - run.begin) * bytes;
+    std::memcpy(out, in + run.begin * bytes, len);
+    out += len;
+  }
+}
+
 }  // namespace
 
 MergedTable BuildMergedTable(const Table& base, const DeltaSnapshot& snap) {
@@ -72,15 +140,14 @@ MergedTable BuildMergedTable(const Table& base, const DeltaSnapshot& snap) {
 
   // Row layout: live base rows in oid order, then live delta rows in
   // arrival order. Deterministic, so scan-merge and compaction agree.
+  const std::vector<OidRun> runs = LiveRuns(n_base, snap.base_tombstones);
   out.new_oid_of_base.assign(n_base, kNoOid);
   out.new_oid_of_delta.assign(n_delta, kNoOid);
-  std::vector<uint8_t> base_dead(n_base, 0);
-  for (uint32_t oid : snap.base_tombstones) {
-    if (oid < n_base) base_dead[oid] = 1;
-  }
   uint32_t next_oid = 0;
-  for (size_t oid = 0; oid < n_base; ++oid) {
-    if (!base_dead[oid]) out.new_oid_of_base[oid] = next_oid++;
+  for (const OidRun& run : runs) {
+    for (size_t oid = run.begin; oid < run.end; ++oid) {
+      out.new_oid_of_base[oid] = next_oid++;
+    }
   }
   for (size_t r = 0; r < n_delta; ++r) {
     if (snap.row_dead.size() <= r || !snap.row_dead[r]) {
@@ -89,11 +156,19 @@ MergedTable BuildMergedTable(const Table& base, const DeltaSnapshot& snap) {
   }
   const size_t n_live = next_oid;
 
+  // Every slot of a merged column is written (live base rows, then live
+  // delta rows), so allocation skips the zero fill.
+  const auto allocate = [n_live](int width) {
+    EncodedColumn column;
+    column.ResetTyped(width, PhysicalTypeForWidth(width), n_live,
+                      /*zero_fill=*/false);
+    return column;
+  };
+
   out.table = std::make_shared<Table>(n_live);
   for (size_t c = 0; c < names.size(); ++c) {
     const std::string& name = names[c];
     const EncodedColumn& old_col = base.column(name);
-    EncodedColumn merged_col;
 
     if (base.HasDictionary(name)) {
       const StringDictionary& dict = base.dictionary(name);
@@ -103,11 +178,18 @@ MergedTable BuildMergedTable(const Table& base, const DeltaSnapshot& snap) {
       DictMerge dm = MergeDictionary(dict, overflow);
       const int width =
           std::max(1, BitsForCount(static_cast<uint64_t>(dm.merged.size())));
-      merged_col.Reset(width, n_live);
-      for (size_t oid = 0; oid < n_base; ++oid) {
-        uint32_t dst = out.new_oid_of_base[oid];
-        if (dst == kNoOid) continue;
-        merged_col.Set(dst, dm.new_code_of_dict[old_col.Get(oid)]);
+      EncodedColumn merged_col = allocate(width);
+      // The remap is strictly increasing from 0, so it is the identity
+      // exactly when its last entry is unchanged (no overflow value sorts
+      // below a base value).
+      const std::vector<Code>& remap = dm.new_code_of_dict;
+      const bool identity =
+          remap.empty() || remap.back() == remap.size() - 1;
+      if (identity && merged_col.type() == old_col.type()) {
+        CopyLiveRuns(old_col, runs, &merged_col);
+      } else {
+        MapLiveRuns(old_col, runs,
+                    [&remap](Code code) { return remap[code]; }, &merged_col);
       }
       for (size_t r = 0; r < n_delta; ++r) {
         uint32_t dst = out.new_oid_of_delta[r];
@@ -115,10 +197,10 @@ MergedTable BuildMergedTable(const Table& base, const DeltaSnapshot& snap) {
         const int64_t id = snap.rows[r][c];
         MCSORT_CHECK(id >= 0);
         const size_t uid = static_cast<size_t>(id);
-        if (uid < dm.new_code_of_dict.size()) {
-          merged_col.Set(dst, dm.new_code_of_dict[uid]);
+        if (uid < remap.size()) {
+          merged_col.Set(dst, remap[uid]);
         } else {
-          const size_t ovf = uid - dm.new_code_of_dict.size();
+          const size_t ovf = uid - remap.size();
           MCSORT_CHECK(ovf < dm.new_code_of_ovf.size());
           merged_col.Set(dst, dm.new_code_of_ovf[ovf]);
         }
@@ -135,20 +217,15 @@ MergedTable BuildMergedTable(const Table& base, const DeltaSnapshot& snap) {
     // delta native sits below it — lowering the base shifts every existing
     // code up uniformly, preserving order; widen to cover the merged range.
     const int64_t old_base = base.domain_base(name);
-    uint64_t max_base_code = 0;
-    for (size_t oid = 0; oid < n_base; ++oid) {
-      if (out.new_oid_of_base[oid] == kNoOid) continue;
-      max_base_code = std::max<uint64_t>(max_base_code, old_col.Get(oid));
-    }
+    const uint64_t max_base_code = MaxLiveCode(old_col, runs);
     int64_t new_base = old_base;
-    uint64_t max_rel = max_base_code;
     for (size_t r = 0; r < n_delta; ++r) {
       if (out.new_oid_of_delta[r] == kNoOid) continue;
       new_base = std::min(new_base, snap.rows[r][c]);
     }
     const uint64_t shift =
         static_cast<uint64_t>(old_base) - static_cast<uint64_t>(new_base);
-    max_rel = max_base_code + shift;
+    uint64_t max_rel = max_base_code + shift;
     for (size_t r = 0; r < n_delta; ++r) {
       if (out.new_oid_of_delta[r] == kNoOid) continue;
       const uint64_t rel = static_cast<uint64_t>(snap.rows[r][c]) -
@@ -156,11 +233,12 @@ MergedTable BuildMergedTable(const Table& base, const DeltaSnapshot& snap) {
       max_rel = std::max(max_rel, rel);
     }
     const int width = std::max(1, BitsForValue(max_rel));
-    merged_col.Reset(width, n_live);
-    for (size_t oid = 0; oid < n_base; ++oid) {
-      uint32_t dst = out.new_oid_of_base[oid];
-      if (dst == kNoOid) continue;
-      merged_col.Set(dst, old_col.Get(oid) + shift);
+    EncodedColumn merged_col = allocate(width);
+    if (shift == 0 && merged_col.type() == old_col.type()) {
+      CopyLiveRuns(old_col, runs, &merged_col);
+    } else {
+      MapLiveRuns(old_col, runs,
+                  [shift](Code code) { return code + shift; }, &merged_col);
     }
     for (size_t r = 0; r < n_delta; ++r) {
       uint32_t dst = out.new_oid_of_delta[r];

@@ -39,20 +39,43 @@ bool CompareStr(DmlCompareOp op, const std::string& a, const std::string& b) {
   return false;
 }
 
-// Code-side predicate over a sorted dictionary: `lb` is the lower-bound
-// rank of the predicate string, `exact` whether it is present. Because
-// codes are sorted ranks, every comparison reduces to rank arithmetic —
-// no per-row string compare on the base.
-bool CompareCode(DmlCompareOp op, Code c, Code lb, bool exact) {
+// A base-row predicate in code space: code in [lo, hi], negated for !=.
+// An empty range is lo > hi.
+struct CodeRange {
+  Code lo = 1;
+  Code hi = 0;
+  bool negate = false;
+
+  bool Matches(Code code) const { return (code >= lo && code <= hi) != negate; }
+};
+
+// Translates `code op target` into a CodeRange. `exact` is false when the
+// target sits strictly between codes target - 1 and target (a string
+// absent from a sorted dictionary, `target` its lower-bound rank); a
+// numeric target may lie outside the code domain on either side.
+CodeRange RangeFor(DmlCompareOp op, __int128 target, bool exact) {
+  __int128 lo = 1;
+  __int128 hi = 0;
+  constexpr __int128 kMax = static_cast<__int128>(~Code{0});
   switch (op) {
-    case DmlCompareOp::kEq: return exact && c == lb;
-    case DmlCompareOp::kNe: return !exact || c != lb;
-    case DmlCompareOp::kLt: return c < lb;
-    case DmlCompareOp::kLe: return exact ? c <= lb : c < lb;
-    case DmlCompareOp::kGt: return exact ? c > lb : c >= lb;
-    case DmlCompareOp::kGe: return c >= lb;
+    case DmlCompareOp::kEq:
+    case DmlCompareOp::kNe:
+      if (exact) lo = hi = target;
+      break;
+    case DmlCompareOp::kLt: lo = 0; hi = target - 1; break;
+    case DmlCompareOp::kLe: lo = 0; hi = exact ? target : target - 1; break;
+    case DmlCompareOp::kGt: lo = exact ? target + 1 : target; hi = kMax; break;
+    case DmlCompareOp::kGe: lo = target; hi = kMax; break;
   }
-  return false;
+  CodeRange range;
+  range.negate = op == DmlCompareOp::kNe;
+  lo = std::max<__int128>(lo, 0);
+  hi = std::min(hi, kMax);
+  if (lo <= hi) {
+    range.lo = static_cast<Code>(lo);
+    range.hi = static_cast<Code>(hi);
+  }
+  return range;
 }
 
 int ColumnIndex(const std::vector<std::string>& names,
@@ -117,30 +140,33 @@ Status TableVersion::MatchLocked(const DmlPredicate& pred,
 
   const std::string& name = names[idx];
   const EncodedColumn& col = base_->column(name);
-  const size_t n_base = base_->row_count();
   const bool is_dict = base_->HasDictionary(name);
+  CodeRange range;
   if (is_dict) {
     const std::vector<std::string>& values = base_->dictionary(name).values();
     auto it = std::lower_bound(values.begin(), values.end(), pred.value.str);
-    const Code lb = static_cast<Code>(it - values.begin());
     const bool exact = it != values.end() && *it == pred.value.str;
-    for (size_t oid = 0; oid < n_base; ++oid) {
-      if (delta_.base_dead(static_cast<uint32_t>(oid))) continue;
-      if (CompareCode(pred.op, col.Get(oid), lb, exact)) {
-        base_oids->push_back(static_cast<uint32_t>(oid));
-      }
-    }
+    range = RangeFor(pred.op, it - values.begin(), exact);
   } else {
-    const int64_t domain_base = base_->domain_base(name);
-    for (size_t oid = 0; oid < n_base; ++oid) {
-      if (delta_.base_dead(static_cast<uint32_t>(oid))) continue;
-      const int64_t native =
-          domain_base + static_cast<int64_t>(col.Get(oid));
-      if (CompareInt(pred.op, native, pred.value.i64)) {
+    // native = domain_base + code, so `native op v` is `code op v - base`.
+    range = RangeFor(pred.op,
+                     static_cast<__int128>(pred.value.i64) -
+                         base_->domain_base(name),
+                     /*exact=*/true);
+  }
+  VisitCodes(col, [&](const auto* codes) {
+    for (size_t oid = 0; oid < col.size(); ++oid) {
+      if (range.Matches(codes[oid])) {
         base_oids->push_back(static_cast<uint32_t>(oid));
       }
     }
-  }
+  });
+  // Tombstone lookups only for the matches, not for every base row.
+  base_oids->erase(std::remove_if(base_oids->begin(), base_oids->end(),
+                                  [this](uint32_t oid) {
+                                    return delta_.base_dead(oid);
+                                  }),
+                   base_oids->end());
 
   const size_t dict_size =
       is_dict ? base_->dictionary(name).size() : 0;

@@ -403,8 +403,8 @@ IoStatus SaveColumn(const Table& table, const std::string& name,
       if (!st.ok()) return st;
     }
 
-    // stats()/byteslice()/bitweaving() build lazily if this table never
-    // computed them — the snapshot always carries warm caches.
+    // stats()/byteslice() build lazily if this table never computed them
+    // — the snapshot always carries warm caches.
     const std::string stats_bytes =
         EncodeStatsSection(table.stats(name).ToImage());
     st = writer.Append(SnapshotSection::kStats, stats_bytes.data(),
@@ -416,8 +416,16 @@ IoStatus SaveColumn(const Table& table, const std::string& name,
                        bs_bytes.size(), meta);
     if (!st.ok()) return st;
 
-    const std::string bw_bytes =
-        BuildBitWeavingSection(table.bitweaving(name));
+    // No query reads BitWeaving: planes the table does not already hold
+    // are woven locally, not cached on it (a compacted table is published
+    // as the new base and would keep them resident).
+    const BitWeavingColumn* planes = table.cached_bitweaving(name);
+    BitWeavingColumn local;
+    if (planes == nullptr) {
+      local = BitWeavingColumn::Build(column);
+      planes = &local;
+    }
+    const std::string bw_bytes = BuildBitWeavingSection(*planes);
     st = writer.Append(SnapshotSection::kBitWeaving, bw_bytes.data(),
                        bw_bytes.size(), meta);
     if (!st.ok()) return st;

@@ -1,5 +1,7 @@
 #include "mcsort/storage/bitweaving.h"
 
+#include <algorithm>
+
 #include "mcsort/common/bits.h"
 
 namespace mcsort {
@@ -10,20 +12,25 @@ BitWeavingColumn BitWeavingColumn::Build(const EncodedColumn& column) {
   bw.size_ = column.size();
   bw.words_per_plane_ = RoundUp(column.size(), 64) / 64;
   bw.planes_.resize(static_cast<size_t>(bw.width_));
-  for (auto& plane : bw.planes_) {
-    plane.Reset(bw.words_per_plane_);
-    plane.Fill(0);
-  }
-  for (size_t i = 0; i < column.size(); ++i) {
-    const Code code = column.Get(i);
-    const size_t word = i >> 6;
-    const uint64_t bit = uint64_t{1} << (i & 63);
-    for (int j = 0; j < bw.width_; ++j) {
-      if ((code >> (bw.width_ - 1 - j)) & 1) {
-        bw.planes_[static_cast<size_t>(j)][word] |= bit;
+  for (auto& plane : bw.planes_) plane.Reset(bw.words_per_plane_);
+  const size_t n = column.size();
+  VisitCodes(column, [&](const auto* codes) {
+    // One 64-row group at a time: each plane's word is assembled in a
+    // register and stored once; rows past the end weave in as zeros.
+    Code group[64];
+    for (size_t g = 0; g < bw.words_per_plane_; ++g) {
+      const size_t begin = g * 64;
+      const size_t count = std::min<size_t>(64, n - begin);
+      for (size_t r = 0; r < count; ++r) group[r] = codes[begin + r];
+      std::fill(group + count, group + 64, Code{0});
+      for (int j = 0; j < bw.width_; ++j) {
+        const int bit = bw.width_ - 1 - j;
+        uint64_t word = 0;
+        for (int r = 0; r < 64; ++r) word |= ((group[r] >> bit) & 1) << r;
+        bw.planes_[static_cast<size_t>(j)][g] = word;
       }
     }
-  }
+  });
   return bw;
 }
 

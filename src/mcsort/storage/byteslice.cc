@@ -1,6 +1,6 @@
 #include "mcsort/storage/byteslice.h"
 
-#include "mcsort/common/bits.h"
+#include <algorithm>
 
 namespace mcsort {
 
@@ -8,22 +8,32 @@ ByteSliceColumn ByteSliceColumn::Build(const EncodedColumn& column) {
   ByteSliceColumn bs;
   bs.width_ = column.width();
   bs.size_ = column.size();
+  const size_t n = column.size();
   const int num_slices = (column.width() + 7) / 8;
   const int padding = 8 * num_slices - column.width();
   // Pad the slice length to a SIMD block so scans can run full blocks.
-  const size_t padded_n = RoundUp(column.size(), 32);
+  const size_t padded_n = slice_bytes(n);
   bs.slices_.resize(static_cast<size_t>(num_slices));
-  for (auto& slice : bs.slices_) {
-    slice.Reset(padded_n);
-    slice.Fill(0);
-  }
-  for (size_t i = 0; i < column.size(); ++i) {
-    const Code padded = column.Get(i) << padding;
+  VisitCodes(column, [&](const auto* codes) {
     for (int j = 0; j < num_slices; ++j) {
-      bs.slices_[static_cast<size_t>(j)][i] =
-          static_cast<uint8_t>(padded >> (8 * (num_slices - 1 - j)));
+      AlignedBuffer<uint8_t>& slice = bs.slices_[static_cast<size_t>(j)];
+      slice.Reset(padded_n);
+      uint8_t* out = slice.data();
+      // Slice j is byte j (MSB first) of code << padding; only the last
+      // slice shifts left.
+      const int right = 8 * (num_slices - 1 - j) - padding;
+      if (right >= 0) {
+        for (size_t i = 0; i < n; ++i) {
+          out[i] = static_cast<uint8_t>(codes[i] >> right);
+        }
+      } else {
+        for (size_t i = 0; i < n; ++i) {
+          out[i] = static_cast<uint8_t>(codes[i] << -right);
+        }
+      }
+      std::fill(out + n, out + padded_n, uint8_t{0});
     }
-  }
+  });
   return bs;
 }
 

@@ -7,8 +7,10 @@
 #ifndef MCSORT_STORAGE_COLUMN_H_
 #define MCSORT_STORAGE_COLUMN_H_
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "mcsort/common/aligned_buffer.h"
 #include "mcsort/common/bits.h"
@@ -178,6 +180,22 @@ class EncodedColumn {
   AlignedBuffer<uint32_t> data32_;
   AlignedBuffer<uint64_t> data64_;
 };
+
+// Calls `fn(codes)` with the column's typed code array (`uint16_t*`,
+// `uint32_t*` or `uint64_t*`, const when the column is) and returns its
+// result. Bulk passes (merge-at-scan, stats, layout builds, DML
+// predicates) instantiate their loop once per physical type here instead
+// of paying Get's per-element type switch.
+template <typename Column, typename Fn>
+  requires std::same_as<std::remove_const_t<Column>, EncodedColumn>
+decltype(auto) VisitCodes(Column& column, Fn&& fn) {
+  switch (column.type()) {
+    case PhysicalType::kU16: return fn(column.Data16());
+    case PhysicalType::kU32: return fn(column.Data32());
+    case PhysicalType::kU64: break;
+  }
+  return fn(column.Data64());
+}
 
 }  // namespace mcsort
 

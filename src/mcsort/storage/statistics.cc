@@ -1,7 +1,6 @@
 #include "mcsort/storage/statistics.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <unordered_set>
 
@@ -33,34 +32,74 @@ ColumnStats ColumnStats::BuildSampled(const EncodedColumn& column,
   stats.bucket_distinct_.assign(buckets, 0);
   if (column.size() == 0 || max_rows == 0) return stats;
 
-  const uint64_t stride =
-      column.size() <= max_rows ? 1 : (column.size() + max_rows - 1) / max_rows;
-  stats.min_code_ = ~Code{0};
-  stats.max_code_ = 0;
-  const int shift = stats.width_ - stats.hist_bits_;
-  std::unordered_set<Code> seen;
-  seen.reserve(std::min<uint64_t>(column.size(), max_rows) / 4 + 16);
-  uint64_t sampled = 0;
-  for (size_t i = 0; i < column.size(); i += stride) {
-    const Code code = column.Get(i);
-    stats.min_code_ = std::min(stats.min_code_, code);
-    stats.max_code_ = std::max(stats.max_code_, code);
-    const size_t bucket = static_cast<size_t>(code >> shift);
-    ++stats.bucket_rows_[bucket];
-    if (seen.insert(code).second) {
-      ++stats.bucket_distinct_[bucket];
+  const size_t n = column.size();
+  const uint64_t stride = n <= max_rows ? 1 : (n + max_rows - 1) / max_rows;
+  const uint64_t sampled = (n + stride - 1) / stride;
+  const int width = stats.width_;
+  const int shift = width - stats.hist_bits_;
+  uint64_t* bucket_rows = stats.bucket_rows_.data();
+  uint64_t* bucket_distinct = stats.bucket_distinct_.data();
+  VisitCodes(column, [&](const auto* codes) {
+    if (shift == 0) {
+      // One code per bucket: a counting pass gives the row counts, and the
+      // non-empty buckets are exactly the distinct codes.
+      for (size_t i = 0; i < n; i += stride) ++bucket_rows[codes[i]];
+      bool any = false;
+      for (size_t b = 0; b < buckets; ++b) {
+        if (bucket_rows[b] == 0) continue;
+        bucket_distinct[b] = 1;
+        ++stats.distinct_count_;
+        if (!any) stats.min_code_ = b;
+        stats.max_code_ = b;
+        any = true;
+      }
+      return;
     }
-    ++sampled;
-  }
+    // One pass for min/max and the histogram; `first_seen(code)` is the
+    // distinct-value test.
+    Code lo = ~Code{0};
+    Code hi = 0;
+    const auto scan = [&](auto&& first_seen) {
+      for (size_t i = 0; i < n; i += stride) {
+        const Code code = codes[i];
+        lo = std::min(lo, code);
+        hi = std::max(hi, code);
+        const size_t bucket = static_cast<size_t>(code >> shift);
+        ++bucket_rows[bucket];
+        if (first_seen(code)) ++bucket_distinct[bucket];
+      }
+    };
+    if (width < 64 && (uint64_t{1} << width) <= 64 * sampled) {
+      // Dense bitmap over the code domain, capped at 64 bits per sampled
+      // row so wide sampled keys keep the hash set below.
+      std::vector<uint64_t> seen(((uint64_t{1} << width) + 63) / 64, 0);
+      scan([&seen](Code code) {
+        uint64_t& word = seen[static_cast<size_t>(code >> 6)];
+        const uint64_t bit = uint64_t{1} << (code & 63);
+        const bool fresh = (word & bit) == 0;
+        word |= bit;
+        return fresh;
+      });
+      for (size_t b = 0; b < buckets; ++b) {
+        stats.distinct_count_ += bucket_distinct[b];
+      }
+    } else {
+      std::unordered_set<Code> seen;
+      seen.reserve(std::min<uint64_t>(n, max_rows) / 4 + 16);
+      scan([&seen](Code code) { return seen.insert(code).second; });
+      stats.distinct_count_ = seen.size();
+    }
+    stats.min_code_ = lo;
+    stats.max_code_ = hi;
+  });
   // Scale sampled row counts back to the full table.
-  if (stride > 1 && sampled > 0) {
+  if (stride > 1) {
     const double scale =
-        static_cast<double>(column.size()) / static_cast<double>(sampled);
+        static_cast<double>(n) / static_cast<double>(sampled);
     for (auto& rows : stats.bucket_rows_) {
       rows = static_cast<uint64_t>(static_cast<double>(rows) * scale + 0.5);
     }
   }
-  stats.distinct_count_ = seen.size();
   // Build the prefix-distinct cache eagerly so concurrent readers never
   // race on the lazy initialization.
   stats.EstimateDistinctPrefixes(0);
@@ -70,10 +109,15 @@ ColumnStats ColumnStats::BuildSampled(const EncodedColumn& column,
 uint64_t ColumnStats::DistinctSketch() const {
   // FNV-1a over log2 buckets: insensitive to small per-bucket jitter,
   // sensitive to which buckets hold distinct mass and roughly how much.
+  // Counts round to the nearest power of two (steps change at 2^(k+1/2)),
+  // so the 2^(width - hist_bits) codes of a full bucket — what every dense
+  // column wider than the histogram produces — sit mid-step, and deleting
+  // a few values does not read as drift.
   uint64_t hash = 1469598103934665603ull;
   const auto mix = [&hash](uint64_t v) {
-    const int log2 = v == 0 ? 0 : std::bit_width(v);
-    hash ^= static_cast<uint64_t>(log2);
+    const long step =
+        v == 0 ? 0 : 1 + std::lround(std::log2(static_cast<double>(v)));
+    hash ^= static_cast<uint64_t>(step);
     hash *= 1099511628211ull;
   };
   mix(static_cast<uint64_t>(hist_bits_));

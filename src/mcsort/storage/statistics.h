@@ -36,10 +36,12 @@ class ColumnStats {
  public:
   ColumnStats() = default;
 
-  // Builds statistics with one pass over the column (plus hashing for
-  // distinct counts). `hist_bits` caps the histogram resolution; the
-  // histogram has 2^min(hist_bits, width) buckets keyed by the code's top
-  // bits.
+  // Builds statistics with one typed pass over the column. Distinct
+  // counts come from the histogram itself when each bucket is one code
+  // (width <= hist_bits), from a dense bitmap when 2^width bits fit in 64
+  // bits per row, and from a hash set otherwise. `hist_bits` caps the
+  // histogram resolution; the histogram has 2^min(hist_bits, width)
+  // buckets keyed by the code's top bits.
   static ColumnStats Build(const EncodedColumn& column, int hist_bits = 12);
 
   // Like Build but over at most `max_rows` stride-sampled rows, with row
@@ -63,7 +65,8 @@ class ColumnStats {
   // loops); the table is built lazily.
   double EstimateDistinctPrefixes(int a) const;
 
-  // Order-sensitive hash of the log2-bucketed per-bucket distinct counts.
+  // Order-sensitive hash of the per-bucket distinct counts, each rounded
+  // to the nearest power of two.
   // The plan cache folds it into its statistics fingerprint: the kernel
   // router keys on the distinct *distribution* (it decides counting vs.
   // merge rounds), so a reshaped distribution must read as drift even when

@@ -92,6 +92,13 @@ const BitWeavingColumn& Table::bitweaving(const std::string& name) const {
   return *entry.bitweaving;
 }
 
+const BitWeavingColumn* Table::cached_bitweaving(
+    const std::string& name) const {
+  const Entry& entry = Find(name);
+  std::lock_guard<std::mutex> lock(*lazy_mu_);
+  return entry.bitweaving.get();
+}
+
 Table& Table::AddColumnParts(const std::string& name, EncodedColumn column,
                              std::unique_ptr<StringDictionary> dict,
                              int64_t domain_base) {

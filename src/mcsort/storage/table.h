@@ -58,6 +58,9 @@ class Table {
   const ColumnStats& stats(const std::string& name) const;
   const ByteSliceColumn& byteslice(const std::string& name) const;
   const BitWeavingColumn& bitweaving(const std::string& name) const;
+  // The BitWeaving planes if already built or loaded, else nullptr; the
+  // snapshot writer uses it to serialize planes without caching them.
+  const BitWeavingColumn* cached_bitweaving(const std::string& name) const;
 
   // --- Snapshot persistence (implemented in io/snapshot.cc) -------------
   // Writes the table as a versioned on-disk snapshot directory; loads one

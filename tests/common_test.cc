@@ -44,6 +44,8 @@ TEST(BitsTest, WidthHelpers) {
   EXPECT_EQ(BitsForValue(2), 2);
   EXPECT_EQ(BitsForValue(255), 8);
   EXPECT_EQ(BitsForValue(256), 9);
+  EXPECT_EQ(BitsForValue(uint64_t{1} << 63), 64);
+  EXPECT_EQ(BitsForValue(~uint64_t{0}), 64);
   EXPECT_EQ(BitsForCount(1), 1);
   EXPECT_EQ(BitsForCount(2), 1);
   EXPECT_EQ(BitsForCount(3), 2);

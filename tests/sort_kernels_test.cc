@@ -580,5 +580,30 @@ TEST(KernelFingerprintTest, DistinctSketchDriftInvalidates) {
             fa.distinct_sketch);
 }
 
+TEST(KernelFingerprintTest, DistinctSketchStableUnderPointDeletes) {
+  // A dense 17-bit column fills each of the 4096 histogram buckets with
+  // exactly 32 distinct codes. Deleting every row of a few values (what
+  // `DELETE WHERE customer = v` does) leaves those buckets at 31: that is
+  // jitter, not a reshaped distribution, and must not invalidate plans.
+  const Code kDomain = Code{1} << 17;
+  const std::vector<Code> deleted = {7, 1000, 50001, 99999, 131071};
+  EncodedColumn full(17, 2 * kDomain);
+  EncodedColumn thinned(17, 2 * (kDomain - deleted.size()));
+  size_t kept = 0;
+  for (size_t r = 0; r < full.size(); ++r) {
+    const Code code = (r * 40503) % kDomain;  // odd stride: a permutation
+    full.Set(r, code);
+    if (std::find(deleted.begin(), deleted.end(), code) == deleted.end()) {
+      thinned.Set(kept++, code);
+    }
+  }
+  ASSERT_EQ(kept, thinned.size());
+  const ColumnStats before = ColumnStats::Build(full);
+  const ColumnStats after = ColumnStats::Build(thinned);
+  ASSERT_EQ(before.distinct_count(), kDomain);
+  ASSERT_EQ(after.distinct_count(), kDomain - deleted.size());
+  EXPECT_EQ(before.DistinctSketch(), after.DistinctSketch());
+}
+
 }  // namespace
 }  // namespace mcsort
