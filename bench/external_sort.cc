@@ -104,7 +104,7 @@ int RunBudgetSweep(const Table& table, const std::string& spill_dir, int reps,
     in_memory = std::min(in_memory, timer.Seconds());
     if (!baseline.ok()) {
       std::fprintf(stderr, "in-memory execution failed: %s\n",
-                   baseline.ToStatus().ToString().c_str());
+                   baseline.status.ToString().c_str());
       return 1;
     }
   }
@@ -123,7 +123,7 @@ int RunBudgetSweep(const Table& table, const std::string& spill_dir, int reps,
       ExecResult run = executor.Execute(spec, ctx);
       if (!run.ok()) {
         std::fprintf(stderr, "budget 1/%zu failed: %s\n", divisor,
-                     run.ToStatus().ToString().c_str());
+                     run.status.ToString().c_str());
         return 1;
       }
       if (timer.Seconds() < seconds) {

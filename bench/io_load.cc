@@ -66,15 +66,14 @@ void RunColdStart(const std::string& scratch, int reps) {
               it->first.c_str(), options.scale, table.row_count(),
               table.column_names().size());
 
-  // A snapshot restores statistics and the ByteSlice/BitWeaving scan
-  // layouts ready-made, so the fair snapshotless baseline is generation
-  // PLUS materializing those (a regenerated table builds them lazily on
-  // first use; the generator alone is not query-equivalent).
+  // A snapshot restores statistics and the ByteSlice scan layout
+  // ready-made, so the fair snapshotless baseline is generation PLUS
+  // materializing those (a regenerated table builds them lazily on first
+  // use; the generator alone is not query-equivalent).
   Timer mat_timer;
   for (const std::string& name : table.column_names()) {
     (void)table.stats(name);
     (void)table.byteslice(name);
-    (void)table.bitweaving(name);
   }
   const double mat_seconds = mat_timer.Seconds();
   const double baseline_seconds = gen_seconds + mat_seconds;
@@ -84,7 +83,7 @@ void RunColdStart(const std::string& scratch, int reps) {
 
   const std::string dir = scratch + "/io_load_snapshot";
   Timer save_timer;
-  const IoStatus saved = SaveTableSnapshot(table, dir);
+  const Status saved = SaveTableSnapshot(table, dir);
   if (!saved.ok()) {
     std::fprintf(stderr, "save failed: %s\n", saved.ToString().c_str());
     std::exit(1);
@@ -102,7 +101,7 @@ void RunColdStart(const std::string& scratch, int reps) {
     double probe_seconds = 0;
     const double load_seconds = MinSeconds(reps, [&] {
       Table loaded;
-      const IoStatus st = LoadTableSnapshot(dir, load, &loaded);
+      const Status st = LoadTableSnapshot(dir, load, &loaded);
       if (!st.ok()) {
         std::fprintf(stderr, "load failed: %s\n", st.ToString().c_str());
         std::exit(1);
@@ -148,7 +147,7 @@ void RunIngest(const std::string& scratch, int reps) {
     options.threads = threads;
     const double seconds = MinSeconds(reps, [&] {
       Table table;
-      const IoStatus st = IngestCsv(csv, options, &table);
+      const Status st = IngestCsv(csv, options, &table);
       if (!st.ok()) {
         std::fprintf(stderr, "ingest failed: %s\n", st.ToString().c_str());
         std::exit(1);

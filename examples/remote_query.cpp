@@ -112,7 +112,8 @@ int main() {
                                  .Build();
   RemoteResult result = client.Query(per_cell);
   if (!result.ok()) {
-    std::fprintf(stderr, "query failed: %s\n", result.error_detail.c_str());
+    std::fprintf(stderr, "query failed: %s\n",
+                 result.status.ToString().c_str());
     return 1;
   }
   // aggregate_values[k][g] is the k-th aggregate (here: 0=SUM, 1=COUNT)
@@ -140,7 +141,7 @@ int main() {
                             .Build(),
                         deadline_call);
   std::printf("\nORDER BY region, units DESC (5s deadline): %s, %zu oids\n",
-              result.ok() ? "ok" : result.error_detail.c_str(),
+              result.status.ToString().c_str(),
               result.result_oids.size());
 
   // 6. Liveness and observability.

@@ -1,27 +1,15 @@
-// mcsort::Status — the one canonical status taxonomy of the system.
-//
-// Before this header existed the stack spoke four dialects: ExecStatus
-// (executor unwinding), IoStatus (persistence tier), net::ClientStatus
-// (what one wire call did), and dist::DistStatus (what a whole fan-out
-// did), plus the wire's ErrorCode as a fifth, serialized spelling. Every
-// layer boundary hand-rolled its own mapping. This header is the hub:
-// each taxonomy keeps its domain-specific enum (they carry real
-// distinctions — kBadMagic vs kCorrupt matters inside io/), but every one
-// of them converts to and from mcsort::Status via ToStatus()/FromStatus(),
-// and cross-layer call sites (executor entry points, catalog load, the
-// coordinator, the wire error mapping) traffic in Status only.
+// mcsort::Status — the one status type of the system. Every layer
+// returns and stores it: the executor and ExecContext, the in-memory and
+// external sorts, snapshot / CSV ingest / fs_util, admission, the client
+// and the coordinator. The wire's net::ErrorCode is the only other error
+// vocabulary, and net/wire.h holds the only conversion (ToErrorCode /
+// net::ToStatus).
 //
 // Code vocabulary follows the familiar canonical set (gRPC/absl) so the
-// mapping from any domain taxonomy is obvious, but only the codes an
-// mcsort layer actually produces are defined — this is not a kitchen sink.
-//
-// Conversion contract (tested in status_test.cc): for every domain
-// taxonomy T and every value t of T,
-//
-//   T::FromStatus(t.ToStatus()) round-trips t whenever t's distinction is
-//   representable in Status, and otherwise lands on the canonical code
-//   whose ToStatus image contains t — i.e. StatusCode is a quotient of
-//   each domain taxonomy, never a lossy re-interpretation.
+// meaning of each code is obvious, but only the codes an mcsort layer
+// actually produces are defined — this is not a kitchen sink. Finer
+// distinctions inside one layer (a bad magic vs a bad field in a
+// snapshot, say) live in the detail string, which names the defect.
 #ifndef MCSORT_COMMON_STATUS_H_
 #define MCSORT_COMMON_STATUS_H_
 
@@ -33,7 +21,7 @@ namespace mcsort {
 
 enum class StatusCode : uint8_t {
   kOk = 0,
-  kCancelled = 1,           // caller cancelled (ExecCode::kCancelled)
+  kCancelled = 1,           // caller cancelled
   kDeadlineExceeded = 2,    // deadline expired before completion
   kResourceExhausted = 3,   // scratch/memory budget unsatisfiable
   kInvalidArgument = 4,     // malformed input (bad query, bad format)
@@ -51,7 +39,7 @@ enum class StatusCode : uint8_t {
 // and logs; "unknown" for out-of-range values.
 const char* StatusCodeName(StatusCode code);
 
-// The unified status value. `detail` is a human-readable elaboration (may
+// The status value. `detail` is a human-readable elaboration (may
 // be empty); equality of outcomes is equality of `code`.
 struct Status {
   StatusCode code = StatusCode::kOk;

@@ -30,61 +30,49 @@ struct McsortCoordinator::ShardState {
 struct McsortCoordinator::ShardCall {
   net::RemoteResult result;
   ShardOutcome outcome;
-  bool ok = false;
 };
 
 namespace {
 
-// Should this (ClientStatus, ErrorCode) outcome be retried on the next
-// replica? Transport-level failures and explicit "try elsewhere" server
+// Should this attempt be retried on the next replica? Transport-level
+// failures (including call timeouts) and explicit "try elsewhere" server
 // answers are; semantic verdicts are not.
-bool Retryable(net::ClientStatus status, net::ErrorCode error) {
-  switch (status) {
-    case net::ClientStatus::kNotConnected:
-    case net::ClientStatus::kTransportError:
-    case net::ClientStatus::kCallTimeout:
-      return true;
-    case net::ClientStatus::kServerError:
-      return error == net::ErrorCode::kBusy ||
-             error == net::ErrorCode::kShuttingDown;
-    default:
-      return false;
-  }
+bool Retryable(const net::RemoteResult& result) {
+  return !result.transport_ok || result.error == net::ErrorCode::kBusy ||
+         result.error == net::ErrorCode::kShuttingDown;
 }
 
-// Collapses the failed shards' outcomes into one DistStatus (most
-// specific verdict wins; cancellation and deadline trump the rest).
-DistStatus StatusOfFailures(const std::vector<ShardOutcome>& outcomes,
-                            bool cancelled) {
-  if (cancelled) return DistStatus::kCancelled;
-  DistStatus status = DistStatus::kShardFailed;
+// Collapses the failed shards' outcomes into one Status: cancellation
+// trumps everything, then a deadline, then a shard's semantic rejection
+// (kInvalidArgument / kNotFound); any other failure means a shard produced
+// no result after exhausting its replicas (kUnavailable). The detail names
+// the first failed shard.
+Status StatusOfFailures(const std::vector<ShardOutcome>& outcomes,
+                        bool cancelled) {
+  StatusCode code =
+      cancelled ? StatusCode::kCancelled : StatusCode::kUnavailable;
+  std::string detail;
   for (const ShardOutcome& o : outcomes) {
-    if (o.client_status == net::ClientStatus::kOk &&
-        o.error == net::ErrorCode::kNone) {
-      continue;
+    if (o.status.ok()) continue;
+    if (detail.empty()) {
+      detail = "shard " + std::to_string(o.shard) + ": " + o.status.ToString();
     }
-    switch (o.error) {
-      case net::ErrorCode::kCancelled:
-        return DistStatus::kCancelled;
-      case net::ErrorCode::kDeadlineExceeded:
-        status = DistStatus::kDeadlineExceeded;
+    switch (o.status.code) {
+      case StatusCode::kCancelled:
+        code = StatusCode::kCancelled;
         break;
-      case net::ErrorCode::kBadQuery:
-      case net::ErrorCode::kMalformedQuery:
-      case net::ErrorCode::kUnknownTable:
-        if (status == DistStatus::kShardFailed) {
-          status = DistStatus::kBadQuery;
-        }
+      case StatusCode::kDeadlineExceeded:
+        if (code != StatusCode::kCancelled) code = o.status.code;
+        break;
+      case StatusCode::kInvalidArgument:
+      case StatusCode::kNotFound:
+        if (code == StatusCode::kUnavailable) code = o.status.code;
         break;
       default:
         break;
     }
-    if (o.client_status == net::ClientStatus::kCallTimeout &&
-        status == DistStatus::kShardFailed) {
-      status = DistStatus::kDeadlineExceeded;
-    }
   }
-  return status;
+  return {code, std::move(detail)};
 }
 
 // Extracts group-by attribute `j`'s code back out of a merged composite
@@ -156,17 +144,14 @@ void McsortCoordinator::RunShard(ShardState& state, int shard_index,
   const int endpoints = static_cast<int>(state.spec.endpoints.size());
   const int max_attempts = std::max(1, options_.max_attempts_per_shard);
   if (endpoints == 0) {
-    outcome.client_status = net::ClientStatus::kNotConnected;
-    outcome.detail = "shard has no endpoints";
+    outcome.status = Status::FailedPrecondition("shard has no endpoints");
     outcome.seconds = timer.Seconds();
     return;
   }
 
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     if (cancelled_.load(std::memory_order_acquire)) {
-      outcome.client_status = net::ClientStatus::kNotConnected;
-      outcome.error = net::ErrorCode::kCancelled;
-      outcome.detail = "cancelled before attempt";
+      outcome.status = Status::Cancelled("cancelled before attempt");
       break;
     }
     double remaining = 0;
@@ -174,8 +159,8 @@ void McsortCoordinator::RunShard(ShardState& state, int shard_index,
       remaining =
           std::chrono::duration<double>(deadline - Clock::now()).count();
       if (remaining <= 0) {
-        outcome.client_status = net::ClientStatus::kCallTimeout;
-        outcome.detail = "coordinator deadline exhausted";
+        outcome.status =
+            Status::DeadlineExceeded("coordinator deadline exhausted");
         break;
       }
     }
@@ -201,10 +186,8 @@ void McsortCoordinator::RunShard(ShardState& state, int shard_index,
     if (!client->connected()) {
       std::string error;
       if (!client->Connect(&error)) {
-        outcome.client_status = net::ClientStatus::kNotConnected;
-        outcome.error = net::ErrorCode::kNone;
-        outcome.detail = "connect " + state.spec.endpoints[e].host + ": " +
-                         error;
+        outcome.status = Status::Unavailable(
+            "connect " + state.spec.endpoints[e].host + ": " + error);
         if (attempt + 1 < max_attempts &&
             Backoff(options_.retry_backoff_seconds * (1 << attempt))) {
           continue;
@@ -213,9 +196,8 @@ void McsortCoordinator::RunShard(ShardState& state, int shard_index,
       }
     }
     if (!client->ServerHasCapability(net::kCapMergeKeys)) {
-      outcome.client_status = net::ClientStatus::kServerError;
-      outcome.error = net::ErrorCode::kUnsupportedVersion;
-      outcome.detail = "shard server lacks the merge-keys capability";
+      outcome.status = Status::FailedPrecondition(
+          "shard server lacks the merge-keys capability");
       break;  // a config problem, not a transient — do not retry
     }
 
@@ -235,24 +217,15 @@ void McsortCoordinator::RunShard(ShardState& state, int shard_index,
       std::lock_guard<std::mutex> lock(state.inflight_mu);
       state.inflight = client;
     }
-    const net::ClientStatus status =
-        client->TryQuery(spec, qopts, &call->result);
+    outcome.status = client->TryQuery(spec, qopts, &call->result);
     {
       std::lock_guard<std::mutex> lock(state.inflight_mu);
       state.inflight = nullptr;
     }
 
-    outcome.client_status = status;
-    outcome.error = call->result.error;
-    outcome.detail = call->result.error_detail;
     outcome.endpoint_used = e;
-    if (status == net::ClientStatus::kOk) {
-      call->ok = true;
-      break;
-    }
-    if (!Retryable(status, call->result.error) || attempt + 1 >= max_attempts) {
-      break;
-    }
+    if (outcome.status.ok()) break;
+    if (!Retryable(call->result) || attempt + 1 >= max_attempts) break;
     if (!Backoff(options_.retry_backoff_seconds * (1 << attempt))) break;
   }
   outcome.seconds = timer.Seconds();
@@ -296,24 +269,23 @@ DistResult McsortCoordinator::Execute(const QuerySpec& spec,
                                       const DistCallOptions& call) {
   DistResult out;
   Count("dist.queries");
+  // Every failed fan-out is counted under dist.query_error.<status code>.
+  const auto fail = [&](Status status) {
+    Count(std::string("dist.query_error.") + status.name());
+    out.status = std::move(status);
+    return std::move(out);
+  };
   if (shards_.empty()) {
-    out.status = DistStatus::kNoShards;
-    out.detail = "no shards registered";
-    Count("dist.query_error.no_shards");
-    return out;
+    return fail(Status::FailedPrecondition("no shards registered"));
   }
   if (!spec.partition_by.empty() || !spec.window_order_column.empty()) {
-    out.status = DistStatus::kUnsupported;
-    out.detail = "window (PARTITION BY) queries are not distributed";
-    Count("dist.query_error.unsupported");
-    return out;
+    return fail(Status::Unimplemented(
+        "window (PARTITION BY) queries are not distributed"));
   }
   const bool per_group = !spec.group_by.empty();
   if (!per_group && spec.order_by.empty()) {
-    out.status = DistStatus::kUnsupported;
-    out.detail = "distributed execution requires GROUP BY or ORDER BY";
-    Count("dist.query_error.unsupported");
-    return out;
+    return fail(Status::Unimplemented(
+        "distributed execution requires GROUP BY or ORDER BY"));
   }
 
   // The shard-side spec: pinned column order, merge-aware costing, result
@@ -354,23 +326,11 @@ DistResult McsortCoordinator::Execute(const QuerySpec& spec,
   for (size_t s = 0; s < shards_.size(); ++s) {
     calls[s].outcome.elements = calls[s].result.extras.merge_key_hi.size();
     out.shards.push_back(calls[s].outcome);
-    all_ok = all_ok && calls[s].ok;
+    all_ok = all_ok && calls[s].outcome.status.ok();
   }
   if (!all_ok) {
-    out.status = StatusOfFailures(
-        out.shards, cancelled_.load(std::memory_order_acquire));
-    for (const ShardOutcome& o : out.shards) {
-      if (o.client_status != net::ClientStatus::kOk ||
-          o.error != net::ErrorCode::kNone) {
-        out.detail = "shard " + std::to_string(o.shard) + ": " +
-                     (o.detail.empty()
-                          ? net::ClientStatusName(o.client_status)
-                          : o.detail);
-        break;
-      }
-    }
-    Count(std::string("dist.query_error.") + DistStatusName(out.status));
-    return out;
+    return fail(StatusOfFailures(
+        out.shards, cancelled_.load(std::memory_order_acquire)));
   }
 
   // Structural validation before the merge: every shard must have shipped
@@ -391,11 +351,9 @@ DistResult McsortCoordinator::Execute(const QuerySpec& spec,
       bad = bad || elems != r.result_oids.size();
     }
     if (bad) {
-      out.status = DistStatus::kMergeError;
-      out.detail = "shard " + std::to_string(s) +
-                   " answered without coherent merge-key sections";
-      Count("dist.query_error.merge_error");
-      return out;
+      return fail(Status::Internal(
+          "shard " + std::to_string(s) +
+          " answered without coherent merge-key sections"));
     }
   }
 
@@ -490,10 +448,8 @@ DistResult McsortCoordinator::Execute(const QuerySpec& spec,
       if (ros.key.rfind("agg:", 0) == 0) {
         const size_t idx = static_cast<size_t>(std::stoi(ros.key.substr(4)));
         if (idx >= num_specs) {
-          out.status = DistStatus::kBadQuery;
-          out.detail = "result_order references aggregate " + ros.key;
-          Count("dist.query_error.bad_query");
-          return out;
+          return fail(Status::InvalidArgument(
+              "result_order references aggregate " + ros.key));
         }
         values = out.aggregate_values[idx];
       } else {
@@ -502,17 +458,12 @@ DistResult McsortCoordinator::Execute(const QuerySpec& spec,
           if (spec.group_by[i] == ros.key) j = i;
         }
         if (j == spec.group_by.size()) {
-          out.status = DistStatus::kBadQuery;
-          out.detail = "result_order key is not a group-by column: " +
-                       ros.key;
-          Count("dist.query_error.bad_query");
-          return out;
+          return fail(Status::InvalidArgument(
+              "result_order key is not a group-by column: " + ros.key));
         }
-        if (widths.empty() &&
-            !FetchWidths(spec.group_by, &widths, &out.detail)) {
-          out.status = DistStatus::kMergeError;
-          Count("dist.query_error.merge_error");
-          return out;
+        std::string error;
+        if (widths.empty() && !FetchWidths(spec.group_by, &widths, &error)) {
+          return fail(Status::Internal(std::move(error)));
         }
         for (size_t g = 0; g < out.num_groups; ++g) {
           values[g] =
@@ -548,7 +499,6 @@ DistResult McsortCoordinator::Execute(const QuerySpec& spec,
     options_.metrics->counter("dist.merge_full_compares")
         ->Add(out.merge_full_compares);
   }
-  out.status = DistStatus::kOk;
   Count("dist.queries_ok");
   return out;
 }

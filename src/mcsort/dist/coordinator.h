@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "mcsort/dist/dist_status.h"
+#include "mcsort/common/status.h"
 #include "mcsort/dist/merge.h"
 #include "mcsort/engine/query.h"
 #include "mcsort/net/client.h"
@@ -82,16 +82,20 @@ struct ShardOutcome {
   int shard = -1;
   int endpoint_used = -1;  // replica index that answered; -1 = none did
   int attempts = 0;
-  net::ClientStatus client_status = net::ClientStatus::kOk;
-  net::ErrorCode error = net::ErrorCode::kNone;  // last server verdict
-  std::string detail;
+  Status status;  // the last attempt's outcome (McsortClient::TryQuery's)
   double seconds = 0;   // wall time of this shard's call (incl. retries)
   uint64_t elements = 0;  // rows / groups the shard contributed
 };
 
+// Outcome of a whole fan-out. A non-ok `status` is one of: kCancelled,
+// kDeadlineExceeded, kInvalidArgument / kNotFound (a shard rejected the
+// spec), kUnavailable (a shard produced no result after exhausting its
+// replicas — there is no partial result, since the merged answer would be
+// silently wrong), kUnimplemented (a spec shape the distributed tier does
+// not cover: window / PARTITION BY), kInternal (shard streams disagreed
+// structurally), or kFailedPrecondition (no shards registered).
 struct DistResult {
-  DistStatus status = DistStatus::kOk;
-  std::string detail;
+  Status status;
   std::vector<ShardOutcome> shards;
 
   // Merged answer. GROUP BY specs fill num_groups / aggregate_values /
@@ -114,10 +118,7 @@ struct DistResult {
   uint64_t merge_emitted = 0;
   uint64_t merge_full_compares = 0;
 
-  bool ok() const { return status == DistStatus::kOk; }
-  // The whole fan-out's outcome lifted to the unified taxonomy
-  // (common/status.h), detail included.
-  Status ToStatus() const { return dist::ToStatus(status, detail); }
+  bool ok() const { return status.ok(); }
 };
 
 class McsortCoordinator {

@@ -257,7 +257,7 @@ MultiColumnSortResult MultiColumnSorter::Sort(
       profile.lookup_seconds = timer.Seconds();
       keys = &gathered;
       if (stoppable && ctx.StopRequested()) {
-        result.status = ExecStatus::FromCode(ctx.StopCheck());
+        result.status = ctx.StopStatus();
         result.rounds.push_back(profile);
         return result;
       }
@@ -269,7 +269,7 @@ MultiColumnSortResult MultiColumnSorter::Sort(
                  stoppable ? &ctx : nullptr);
     profile.sort_seconds = timer.Seconds();
     if (stoppable && ctx.StopRequested()) {
-      result.status = ExecStatus::FromCode(ctx.StopCheck());
+      result.status = ctx.StopStatus();
       result.rounds.push_back(profile);
       return result;
     }
@@ -279,7 +279,7 @@ MultiColumnSortResult MultiColumnSorter::Sort(
     profile.scan_chunks = FindGroups(*keys, segments, &refined, pool_, &ctx);
     profile.scan_seconds = timer.Seconds();
     if (stoppable && ctx.StopRequested()) {
-      result.status = ExecStatus::FromCode(ctx.StopCheck());
+      result.status = ctx.StopStatus();
       result.rounds.push_back(profile);
       return result;
     }

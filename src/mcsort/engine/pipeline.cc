@@ -196,7 +196,7 @@ MultiColumnSortResult ExecutePipeline(
     }
   }
   if (stoppable && ctx.StopRequested()) {
-    result.status = ExecStatus::FromCode(ctx.StopCheck());
+    result.status = ctx.StopStatus();
     return result;
   }
   result.groups = std::move(segments);

@@ -104,7 +104,7 @@ ExecResult QueryExecutor::Execute(const QuerySpec& spec,
     // succeeds — it explains why the query degraded instead of spilling.
     key_too_wide = key_too_wide || attempt.result.spill_key_too_wide;
     attempt.result.spill_key_too_wide = key_too_wide;
-    if (attempt.status.code != ExecCode::kResourceExhausted ||
+    if (attempt.status.code != StatusCode::kResourceExhausted ||
         !options_.use_massage) {
       return attempt;
     }
@@ -136,10 +136,8 @@ ExecResult QueryExecutor::ExecuteOnce(const QuerySpec& spec,
   // timings are real) but callers must discard them on a non-ok status.
   const auto stopped = [&]() {
     if (!stoppable) return false;
-    const ExecCode code = ctx.StopCheck();
-    if (code == ExecCode::kOk) return false;
-    out.status = ExecStatus::FromCode(code);
-    return true;
+    out.status = ctx.StopStatus();
+    return !out.status.ok();
   };
   Timer timer;
 
@@ -294,18 +292,13 @@ ExecResult QueryExecutor::ExecuteOnce(const QuerySpec& spec,
     const size_t slice_rows =
         per_row > 0 ? ctx.scratch_budget_bytes() / per_row : 0;
     const bool key_fits = external::CanExternalSort(inputs);
-    bool spill =
-        options_.spill.enabled && slice_rows > 0 && slice_rows < n && key_fits;
-    if (options_.spill.enabled && slice_rows > 0 && slice_rows < n &&
-        !key_fits) {
-      // The spill arm was viable except for the key width: surface a typed
-      // kUnimplemented instead of silently degrading, so operators can see
-      // why the budget knob stopped helping on wide-key workloads.
-      result.spill_key_too_wide = true;
-      out.detail = Status::Unimplemented(
-          "composite sort key is " + std::to_string(total_width) +
-          " bits; external merge caps at 128 — degrade-by-narrowing only");
-    }
+    const bool spill_viable =
+        options_.spill.enabled && slice_rows > 0 && slice_rows < n;
+    bool spill = spill_viable && key_fits;
+    // The spill arm was viable except for the key width: flag it instead
+    // of silently degrading, so operators can see why the budget knob
+    // stopped helping on wide-key workloads.
+    result.spill_key_too_wide = spill_viable && !key_fits;
     if (spill && options_.use_massage) {
       int widest = 0;
       for (const Round& round : plan.rounds()) {
@@ -336,8 +329,12 @@ ExecResult QueryExecutor::ExecuteOnce(const QuerySpec& spec,
       }
     }
     if (!spill) {
-      out.status =
-          ExecStatus::ResourceExhausted("plan scratch estimate over budget");
+      out.status = Status::ResourceExhausted(
+          result.spill_key_too_wide
+              ? "composite sort key is " + std::to_string(total_width) +
+                    " bits; external merge caps at 128 — "
+                    "degrade-by-narrowing only"
+              : "plan scratch estimate over budget");
       return out;
     }
     spill_slice_rows = slice_rows;
@@ -364,8 +361,7 @@ ExecResult QueryExecutor::ExecuteOnce(const QuerySpec& spec,
     result.spill_bytes = spilled.run_bytes;
     result.spill_run_gen_seconds = spilled.run_gen_seconds;
     result.spill_merge_seconds = spilled.merge_seconds;
-    sorted.status = ExecStatus::FromStatus(spilled.status);
-    if (!spilled.status.ok()) out.detail = spilled.status;
+    sorted.status = std::move(spilled.status);
     sorted.oids = std::move(spilled.oids);
     sorted.groups = std::move(spilled.groups);
   } else {

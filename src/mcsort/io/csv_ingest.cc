@@ -113,11 +113,10 @@ void NoteBadRow(std::atomic<uint64_t>* bad, uint64_t row) {
   }
 }
 
-IoStatus BadRowError(const std::string& path, uint64_t row,
-                     const std::string& why) {
-  return IoStatus::Error(IoCode::kBadFormat,
-                         path + " row " + std::to_string(row + 1) + ": " +
-                             why);
+Status BadRowError(const std::string& path, uint64_t row,
+                   const std::string& why) {
+  return Status::InvalidArgument(path + " row " + std::to_string(row + 1) +
+                                 ": " + why);
 }
 
 double Pow10(int digits) {
@@ -128,11 +127,11 @@ double Pow10(int digits) {
 
 }  // namespace
 
-IoStatus IngestCsv(const std::string& path, const CsvIngestOptions& options,
-                   Table* out, CsvIngestStats* stats) {
+Status IngestCsv(const std::string& path, const CsvIngestOptions& options,
+                 Table* out, CsvIngestStats* stats) {
   Timer timer;
   std::string content;
-  IoStatus st = ReadFileToString(path, &content);
+  Status st = ReadFileToString(path, &content);
   if (!st.ok()) return st;
 
   // Phase 1: line index. Sequential memchr scan; empty lines are skipped
@@ -158,13 +157,13 @@ IoStatus IngestCsv(const std::string& path, const CsvIngestOptions& options,
   size_t first_row = 0;
   if (options.has_header) {
     if (lines.empty()) {
-      return IoStatus::Error(IoCode::kBadFormat, path + ": empty file");
+      return Status::InvalidArgument(path + ": empty file");
     }
     std::vector<std::string_view> fields(4096);
     const int n = SplitFields(lines[0].begin, lines[0].end,
                               options.delimiter, fields.data(), 4096);
     if (n <= 0) {
-      return IoStatus::Error(IoCode::kBadFormat, path + ": bad header");
+      return Status::InvalidArgument(path + ": bad header");
     }
     if (schema.empty()) {
       schema.resize(static_cast<size_t>(n));
@@ -172,22 +171,21 @@ IoStatus IngestCsv(const std::string& path, const CsvIngestOptions& options,
         schema[static_cast<size_t>(c)].name = std::string(fields[c]);
       }
     } else if (schema.size() != static_cast<size_t>(n)) {
-      return IoStatus::Error(
-          IoCode::kBadFormat,
+      return Status::InvalidArgument(
           path + ": header has " + std::to_string(n) + " fields, schema " +
-              std::to_string(schema.size()));
+          std::to_string(schema.size()));
     }
     first_row = 1;
   } else if (schema.empty()) {
     // Headerless with no schema: synthesize c0..cN from the first line.
     if (lines.empty()) {
-      return IoStatus::Error(IoCode::kBadFormat, path + ": empty file");
+      return Status::InvalidArgument(path + ": empty file");
     }
     std::vector<std::string_view> fields(4096);
     const int n = SplitFields(lines[0].begin, lines[0].end,
                               options.delimiter, fields.data(), 4096);
     if (n <= 0) {
-      return IoStatus::Error(IoCode::kBadFormat, path + ": bad first line");
+      return Status::InvalidArgument(path + ": bad first line");
     }
     schema.resize(static_cast<size_t>(n));
     for (int c = 0; c < n; ++c) {
@@ -196,16 +194,14 @@ IoStatus IngestCsv(const std::string& path, const CsvIngestOptions& options,
   }
   const int cols = static_cast<int>(schema.size());
   if (cols > 256) {
-    return IoStatus::Error(IoCode::kBadFormat,
-                           path + ": more than 256 columns");
+    return Status::InvalidArgument(path + ": more than 256 columns");
   }
   {
     std::unordered_set<std::string> seen;
     for (const auto& spec : schema) {
       if (spec.name.empty() || !seen.insert(spec.name).second) {
-        return IoStatus::Error(IoCode::kBadFormat,
-                               path + ": empty or duplicate column name '" +
-                                   spec.name + "'");
+        return Status::InvalidArgument(
+            path + ": empty or duplicate column name '" + spec.name + "'");
       }
     }
   }
@@ -287,17 +283,15 @@ IoStatus IngestCsv(const std::string& path, const CsvIngestOptions& options,
         break;
       case CsvType::kInt:
         if (rows > 0 && !a.all_int) {
-          return IoStatus::Error(IoCode::kBadFormat,
-                                 path + ": column '" + name +
-                                     "' declared int but not all-integer");
+          return Status::InvalidArgument(path + ": column '" + name +
+                                         "' declared int but not all-integer");
         }
         types[static_cast<size_t>(c)] = CsvType::kInt;
         break;
       case CsvType::kDecimal:
         if (rows > 0 && !a.all_num) {
-          return IoStatus::Error(IoCode::kBadFormat,
-                                 path + ": column '" + name +
-                                     "' declared decimal but not numeric");
+          return Status::InvalidArgument(path + ": column '" + name +
+                                         "' declared decimal but not numeric");
         }
         types[static_cast<size_t>(c)] = CsvType::kDecimal;
         break;
@@ -336,10 +330,9 @@ IoStatus IngestCsv(const std::string& path, const CsvIngestOptions& options,
           const double smin = a.dmin * scale;
           const double smax = a.dmax * scale;
           if (!(smin >= -9.2e18 && smax <= 9.2e18)) {
-            return IoStatus::Error(
-                IoCode::kBadFormat,
+            return Status::InvalidArgument(
                 path + ": column '" + name + "' overflows at scale " +
-                    std::to_string(options.decimal_scale));
+                std::to_string(options.decimal_scale));
           }
           base = std::llround(smin);
           range = static_cast<uint64_t>(std::llround(smax)) -
@@ -416,7 +409,7 @@ IoStatus IngestCsv(const std::string& path, const CsvIngestOptions& options,
     stats->columns = cols;
     stats->seconds = timer.Seconds();
   }
-  return IoStatus::Ok();
+  return Status::Ok();
 }
 
 }  // namespace mcsort

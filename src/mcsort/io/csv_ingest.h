@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "mcsort/io/io_status.h"
+#include "mcsort/common/status.h"
 
 namespace mcsort {
 
@@ -62,10 +62,10 @@ struct CsvIngestStats {
 };
 
 // Parses `path` into `*out`. Malformed input (ragged rows, unparsable
-// fields under an explicit schema) is a typed kBadFormat error naming the
-// first offending line.
-IoStatus IngestCsv(const std::string& path, const CsvIngestOptions& options,
-                   Table* out, CsvIngestStats* stats = nullptr);
+// fields under an explicit schema) is a typed kInvalidArgument error
+// naming the first offending line.
+Status IngestCsv(const std::string& path, const CsvIngestOptions& options,
+                 Table* out, CsvIngestStats* stats = nullptr);
 
 }  // namespace mcsort
 

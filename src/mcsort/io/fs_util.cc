@@ -13,9 +13,8 @@ namespace mcsort {
 
 namespace {
 
-IoStatus ErrnoStatus(const std::string& what, const std::string& path) {
-  return IoStatus::Error(IoCode::kIoError,
-                         what + " " + path + ": " + std::strerror(errno));
+Status ErrnoStatus(const std::string& what, const std::string& path) {
+  return Status::Unavailable(what + " " + path + ": " + std::strerror(errno));
 }
 
 struct File {
@@ -38,7 +37,7 @@ bool MakeDirs(const std::string& dir) {
   return true;
 }
 
-IoStatus ReadFileToString(const std::string& path, std::string* out) {
+Status ReadFileToString(const std::string& path, std::string* out) {
   File in;
   in.f = std::fopen(path.c_str(), "rb");
   if (in.f == nullptr) return ErrnoStatus("open", path);
@@ -51,10 +50,10 @@ IoStatus ReadFileToString(const std::string& path, std::string* out) {
       std::fread(out->data(), 1, out->size(), in.f) != out->size()) {
     return ErrnoStatus("read", path);
   }
-  return IoStatus::Ok();
+  return Status::Ok();
 }
 
-IoStatus WriteFileAtomic(const std::string& path, const std::string& bytes) {
+Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
   const std::string tmp = path + ".tmp";
   {
     File out;
@@ -69,7 +68,7 @@ IoStatus WriteFileAtomic(const std::string& path, const std::string& bytes) {
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     return ErrnoStatus("rename", tmp);
   }
-  return IoStatus::Ok();
+  return Status::Ok();
 }
 
 bool RemoveFile(const std::string& path) {

@@ -5,7 +5,7 @@
 
 #include <string>
 
-#include "mcsort/io/io_status.h"
+#include "mcsort/common/status.h"
 
 namespace mcsort {
 
@@ -13,11 +13,11 @@ namespace mcsort {
 bool MakeDirs(const std::string& dir);
 
 // Reads the whole file into `out` (replacing its contents).
-IoStatus ReadFileToString(const std::string& path, std::string* out);
+Status ReadFileToString(const std::string& path, std::string* out);
 
 // Writes `bytes` to `path`.tmp and renames over `path`, so readers never
 // observe a half-written file.
-IoStatus WriteFileAtomic(const std::string& path, const std::string& bytes);
+Status WriteFileAtomic(const std::string& path, const std::string& bytes);
 
 // Deletes one file. True when the file was removed or was already absent.
 bool RemoveFile(const std::string& path);

@@ -29,51 +29,6 @@ using net::Crc32c;
 using net::WireReader;
 using net::WireWriter;
 
-const char* IoCodeName(IoCode code) {
-  switch (code) {
-    case IoCode::kOk: return "OK";
-    case IoCode::kIoError: return "IO_ERROR";
-    case IoCode::kBadMagic: return "BAD_MAGIC";
-    case IoCode::kBadVersion: return "BAD_VERSION";
-    case IoCode::kCorrupt: return "CORRUPT";
-    case IoCode::kBadFormat: return "BAD_FORMAT";
-  }
-  return "UNKNOWN";
-}
-
-std::string IoStatus::ToString() const {
-  if (ok()) return "OK";
-  return std::string(IoCodeName(code)) + ": " + message;
-}
-
-Status IoStatus::ToStatus() const {
-  switch (code) {
-    case IoCode::kOk: return Status::Ok();
-    case IoCode::kIoError: return Status::Unavailable(message);
-    case IoCode::kBadMagic: return Status::InvalidArgument(message);
-    case IoCode::kBadVersion: return Status::FailedPrecondition(message);
-    case IoCode::kCorrupt: return Status::DataLoss(message);
-    case IoCode::kBadFormat: return Status::InvalidArgument(message);
-  }
-  return Status::Internal(message);
-}
-
-IoStatus IoStatus::FromStatus(const Status& status) {
-  switch (status.code) {
-    case StatusCode::kOk: return Ok();
-    case StatusCode::kUnavailable:
-    case StatusCode::kNotFound:
-      return Error(IoCode::kIoError, status.detail);
-    case StatusCode::kDataLoss: return Error(IoCode::kCorrupt, status.detail);
-    case StatusCode::kFailedPrecondition:
-      return Error(IoCode::kBadVersion, status.detail);
-    case StatusCode::kInvalidArgument:
-      return Error(IoCode::kBadFormat, status.detail);
-    default:
-      return Error(IoCode::kIoError, status.detail);
-  }
-}
-
 namespace {
 
 constexpr size_t kSegmentHeaderBytes = 16;
@@ -107,9 +62,8 @@ struct Manifest {
   std::vector<ColumnMeta> columns;
 };
 
-IoStatus ErrnoStatus(const std::string& what, const std::string& path) {
-  return IoStatus::Error(IoCode::kIoError,
-                         what + " " + path + ": " + std::strerror(errno));
+Status ErrnoStatus(const std::string& what, const std::string& path) {
+  return Status::Unavailable(what + " " + path + ": " + std::strerror(errno));
 }
 
 // RAII stdio handle.
@@ -225,34 +179,30 @@ std::string EncodeManifest(const Manifest& manifest) {
   return out;
 }
 
-IoStatus DecodeManifest(const std::string& bytes, const std::string& path,
-                        Manifest* manifest) {
+Status DecodeManifest(const std::string& bytes, const std::string& path,
+                      Manifest* manifest) {
   if (bytes.size() < 24) {
-    return IoStatus::Error(IoCode::kBadFormat,
-                           "manifest too short: " + path);
+    return Status::InvalidArgument("manifest too short: " + path);
   }
   uint32_t stored_crc = 0;
   std::memcpy(&stored_crc, bytes.data() + bytes.size() - 4, 4);
   if (Crc32c(bytes.data(), bytes.size() - 4) != stored_crc) {
-    return IoStatus::Error(IoCode::kCorrupt,
-                           "manifest checksum mismatch: " + path);
+    return Status::DataLoss("manifest checksum mismatch: " + path);
   }
   WireReader r(bytes.data(), bytes.size() - 4);
   if (r.U32() != kSnapshotManifestMagic) {
-    return IoStatus::Error(IoCode::kBadMagic, "not a snapshot manifest: " +
-                                                  path);
+    return Status::InvalidArgument("not a snapshot manifest: " + path);
   }
   const uint32_t version = r.U32();
   if (version != kSnapshotVersion) {
-    return IoStatus::Error(
-        IoCode::kBadVersion,
+    return Status::FailedPrecondition(
         "snapshot version " + std::to_string(version) + " (want " +
-            std::to_string(kSnapshotVersion) + "): " + path);
+        std::to_string(kSnapshotVersion) + "): " + path);
   }
   manifest->row_count = r.U64();
   const uint32_t ncols = r.U32();
   const auto bad = [&path](const std::string& why) {
-    return IoStatus::Error(IoCode::kBadFormat, why + ": " + path);
+    return Status::InvalidArgument(why + ": " + path);
   };
   if (ncols > 4096) return bad("implausible column count");
   manifest->columns.resize(ncols);
@@ -281,7 +231,7 @@ IoStatus DecodeManifest(const std::string& bytes, const std::string& path,
     }
   }
   if (!r.AtEnd()) return bad("trailing bytes in manifest");
-  return IoStatus::Ok();
+  return Status::Ok();
 }
 
 // --- write path ----------------------------------------------------------
@@ -291,7 +241,7 @@ class SegmentFileWriter {
   SegmentFileWriter(std::FILE* f, const std::string& path)
       : f_(f), path_(path) {}
 
-  IoStatus WriteHeader(uint32_t column_index) {
+  Status WriteHeader(uint32_t column_index) {
     std::string header;
     WireWriter w(&header);
     w.U32(kSnapshotSegmentMagic);
@@ -302,9 +252,9 @@ class SegmentFileWriter {
   }
 
   // Pads to the next page boundary and appends one CRC-recorded section.
-  IoStatus Append(SnapshotSection id, const void* data, uint64_t length,
-                  ColumnMeta* meta) {
-    IoStatus st = PadTo(kSnapshotPageBytes);
+  Status Append(SnapshotSection id, const void* data, uint64_t length,
+                ColumnMeta* meta) {
+    Status st = PadTo(kSnapshotPageBytes);
     if (!st.ok()) return st;
     SectionRecord rec;
     rec.id = static_cast<uint8_t>(id);
@@ -314,28 +264,28 @@ class SegmentFileWriter {
     st = Write(data, length);
     if (!st.ok()) return st;
     meta->sections.push_back(rec);
-    return IoStatus::Ok();
+    return Status::Ok();
   }
 
  private:
-  IoStatus Write(const void* data, size_t n) {
+  Status Write(const void* data, size_t n) {
     if (n > 0 && std::fwrite(data, 1, n, f_) != n) {
       return ErrnoStatus("write", path_);
     }
     pos_ += n;
-    return IoStatus::Ok();
+    return Status::Ok();
   }
 
-  IoStatus PadTo(uint64_t align) {
+  Status PadTo(uint64_t align) {
     static const char kZeros[kSnapshotPageBytes] = {};
     const uint64_t padded = RoundUp(pos_, align);
     while (pos_ < padded) {
       const size_t chunk =
           std::min<uint64_t>(padded - pos_, sizeof(kZeros));
-      IoStatus st = Write(kZeros, chunk);
+      Status st = Write(kZeros, chunk);
       if (!st.ok()) return st;
     }
-    return IoStatus::Ok();
+    return Status::Ok();
   }
 
   std::FILE* f_;
@@ -357,22 +307,9 @@ std::string BuildByteSliceSection(const ByteSliceColumn& bs) {
   return out;
 }
 
-// Assembles the BitWeaving section: w bit planes, same stride discipline.
-std::string BuildBitWeavingSection(const BitWeavingColumn& bw) {
-  const size_t plane_len = bw.words_per_plane() * sizeof(uint64_t);
-  const size_t stride = RoundUp(plane_len, kSimdAlignment);
-  std::string out;
-  out.reserve(static_cast<size_t>(bw.width()) * stride);
-  for (int j = 0; j < bw.width(); ++j) {
-    out.append(reinterpret_cast<const char*>(bw.plane(j)), plane_len);
-    out.append(stride - plane_len, '\0');
-  }
-  return out;
-}
-
-IoStatus SaveColumn(const Table& table, const std::string& name,
-                    uint32_t index, const std::string& dir,
-                    ColumnMeta* meta) {
+Status SaveColumn(const Table& table, const std::string& name,
+                  uint32_t index, const std::string& dir,
+                  ColumnMeta* meta) {
   const EncodedColumn& column = table.column(name);
   meta->name = name;
   meta->width = static_cast<uint8_t>(column.width());
@@ -388,7 +325,7 @@ IoStatus SaveColumn(const Table& table, const std::string& name,
     out.f = std::fopen(tmp.c_str(), "wb");
     if (out.f == nullptr) return ErrnoStatus("open", tmp);
     SegmentFileWriter writer(out.f, tmp);
-    IoStatus st = writer.WriteHeader(index);
+    Status st = writer.WriteHeader(index);
     if (!st.ok()) return st;
 
     st = writer.Append(SnapshotSection::kCodes, column.raw_data(),
@@ -416,20 +353,6 @@ IoStatus SaveColumn(const Table& table, const std::string& name,
                        bs_bytes.size(), meta);
     if (!st.ok()) return st;
 
-    // No query reads BitWeaving: planes the table does not already hold
-    // are woven locally, not cached on it (a compacted table is published
-    // as the new base and would keep them resident).
-    const BitWeavingColumn* planes = table.cached_bitweaving(name);
-    BitWeavingColumn local;
-    if (planes == nullptr) {
-      local = BitWeavingColumn::Build(column);
-      planes = &local;
-    }
-    const std::string bw_bytes = BuildBitWeavingSection(*planes);
-    st = writer.Append(SnapshotSection::kBitWeaving, bw_bytes.data(),
-                       bw_bytes.size(), meta);
-    if (!st.ok()) return st;
-
     if (std::fflush(out.f) != 0) return ErrnoStatus("flush", tmp);
   }
   // Rename (not overwrite-in-place) so a live mmap of the previous snapshot
@@ -437,70 +360,64 @@ IoStatus SaveColumn(const Table& table, const std::string& name,
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     return ErrnoStatus("rename", tmp);
   }
-  return IoStatus::Ok();
+  return Status::Ok();
 }
 
 // --- read path -----------------------------------------------------------
 
-IoStatus CheckSegmentHeader(const uint8_t* data, size_t size,
-                            const std::string& path) {
+Status CheckSegmentHeader(const uint8_t* data, size_t size,
+                          const std::string& path) {
   if (size < kSegmentHeaderBytes) {
-    return IoStatus::Error(IoCode::kBadFormat,
-                           "segment file too short: " + path);
+    return Status::InvalidArgument("segment file too short: " + path);
   }
   WireReader r(data, kSegmentHeaderBytes);
   if (r.U32() != kSnapshotSegmentMagic) {
-    return IoStatus::Error(IoCode::kBadMagic,
-                           "not a snapshot segment: " + path);
+    return Status::InvalidArgument("not a snapshot segment: " + path);
   }
   if (r.U32() != kSnapshotVersion) {
-    return IoStatus::Error(IoCode::kBadVersion,
-                           "segment version mismatch: " + path);
+    return Status::FailedPrecondition("segment version mismatch: " + path);
   }
-  return IoStatus::Ok();
+  return Status::Ok();
 }
 
-IoStatus CheckSectionBounds(const ColumnMeta& meta, uint64_t file_size,
-                            const std::string& path) {
+Status CheckSectionBounds(const ColumnMeta& meta, uint64_t file_size,
+                          const std::string& path) {
   for (const auto& s : meta.sections) {
     if (s.offset < kSegmentHeaderBytes || s.offset > file_size ||
         s.length > file_size - s.offset) {
-      return IoStatus::Error(IoCode::kBadFormat,
-                             "section out of bounds: " + path);
+      return Status::InvalidArgument("section out of bounds: " + path);
     }
   }
-  return IoStatus::Ok();
+  return Status::Ok();
 }
 
-IoStatus RequireSection(const ColumnMeta& meta, SnapshotSection id,
-                        const std::string& path,
-                        const SectionRecord** out) {
+Status RequireSection(const ColumnMeta& meta, SnapshotSection id,
+                      const std::string& path,
+                      const SectionRecord** out) {
   *out = meta.FindSection(id);
   if (*out == nullptr) {
-    return IoStatus::Error(IoCode::kBadFormat,
-                           "missing section " +
-                               std::to_string(static_cast<int>(id)) + ": " +
-                               path);
+    return Status::InvalidArgument(
+        "missing section " + std::to_string(static_cast<int>(id)) + ": " +
+        path);
   }
-  return IoStatus::Ok();
+  return Status::Ok();
 }
 
-IoStatus VerifyCrc(const uint8_t* data, const SectionRecord& rec,
-                   const std::string& path) {
+Status VerifyCrc(const uint8_t* data, const SectionRecord& rec,
+                 const std::string& path) {
   if (Crc32c(data, rec.length) != rec.crc) {
-    return IoStatus::Error(IoCode::kCorrupt,
-                           "section " + std::to_string(rec.id) +
-                               " checksum mismatch: " + path);
+    return Status::DataLoss("section " + std::to_string(rec.id) +
+                            " checksum mismatch: " + path);
   }
-  return IoStatus::Ok();
+  return Status::Ok();
 }
 
 // Loads one column from its segment file, dispatching on load mode. On
-// kMmap the MmapFile ends up pinned to `table` and codes / slices / planes
-// are views; on kBuffered everything is copied and the file is closed.
-IoStatus LoadColumn(const ColumnMeta& meta, uint64_t row_count,
-                    const std::string& dir,
-                    const SnapshotLoadOptions& options, Table* table) {
+// kMmap the MmapFile ends up pinned to `table` and codes / slices are
+// views; on kBuffered everything is copied and the file is closed.
+Status LoadColumn(const ColumnMeta& meta, uint64_t row_count,
+                  const std::string& dir,
+                  const SnapshotLoadOptions& options, Table* table) {
   const std::string path = dir + "/" + meta.file;
   const int width = meta.width;
   const auto type = static_cast<PhysicalType>(meta.type);
@@ -518,19 +435,19 @@ IoStatus LoadColumn(const ColumnMeta& meta, uint64_t row_count,
   if (use_mmap) {
     std::string error;
     if (!mapping->Open(path, &error)) {
-      return IoStatus::Error(IoCode::kIoError, error);
+      return Status::Unavailable(error);
     }
     base = mapping->data();
     file_size = mapping->size();
     if (options.verify_checksums) mapping->AdviseSequential();
   } else {
-    IoStatus st = ReadFileToString(path, &buffered);
+    Status st = ReadFileToString(path, &buffered);
     if (!st.ok()) return st;
     base = reinterpret_cast<const uint8_t*>(buffered.data());
     file_size = buffered.size();
   }
 
-  IoStatus st = CheckSegmentHeader(base, file_size, path);
+  Status st = CheckSegmentHeader(base, file_size, path);
   if (!st.ok()) return st;
   st = CheckSectionBounds(meta, file_size, path);
   if (!st.ok()) return st;
@@ -542,7 +459,7 @@ IoStatus LoadColumn(const ColumnMeta& meta, uint64_t row_count,
   }
 
   const auto bad = [&path](const std::string& why) {
-    return IoStatus::Error(IoCode::kBadFormat, why + ": " + path);
+    return Status::InvalidArgument(why + ": " + path);
   };
 
   // kCodes → EncodedColumn (the one truly zero-copy section under mmap).
@@ -614,50 +531,24 @@ IoStatus LoadColumn(const ColumnMeta& meta, uint64_t row_count,
     }
   }
 
-  // kBitWeaving → BitWeavingColumn cache (views under mmap).
-  const SectionRecord* bw_rec = nullptr;
-  st = RequireSection(meta, SnapshotSection::kBitWeaving, path, &bw_rec);
-  if (!st.ok()) return st;
-  const size_t words_per_plane = RoundUp(row_count, 64) / 64;
-  const size_t plane_len = words_per_plane * sizeof(uint64_t);
-  const size_t plane_stride = RoundUp(plane_len, kSimdAlignment);
-  if (bw_rec->length != static_cast<uint64_t>(width) * plane_stride ||
-      bw_rec->offset % kSnapshotPageBytes != 0) {
-    return bad("bitweaving section size/alignment mismatch");
-  }
-  std::vector<AlignedBuffer<uint64_t>> planes(static_cast<size_t>(width));
-  for (int j = 0; j < width; ++j) {
-    const uint8_t* src = base + bw_rec->offset + j * plane_stride;
-    if (use_mmap) {
-      planes[j].ResetView(
-          reinterpret_cast<uint64_t*>(const_cast<uint8_t*>(src)),
-          words_per_plane);
-    } else {
-      planes[j].Reset(words_per_plane);
-      std::memcpy(planes[j].data(), src, plane_len);
-    }
-  }
-
   table->AddColumnParts(meta.name, std::move(column), std::move(dict),
                         meta.domain_base);
   table->SetStats(meta.name, ColumnStats::FromImage(image));
   table->SetByteSlice(meta.name, ByteSliceColumn::FromParts(
                                      width, row_count, std::move(slices)));
-  table->SetBitWeaving(meta.name, BitWeavingColumn::FromParts(
-                                      width, row_count, std::move(planes)));
   if (use_mmap) table->PinResource(std::move(mapping));
-  return IoStatus::Ok();
+  return Status::Ok();
 }
 
 }  // namespace
 
-IoStatus SaveTableSnapshot(const Table& table, const std::string& dir) {
+Status SaveTableSnapshot(const Table& table, const std::string& dir) {
   if (!MakeDirs(dir)) return ErrnoStatus("mkdir", dir);
   Manifest manifest;
   manifest.row_count = table.row_count();
   manifest.columns.resize(table.column_names().size());
   for (size_t i = 0; i < table.column_names().size(); ++i) {
-    IoStatus st =
+    Status st =
         SaveColumn(table, table.column_names()[i], static_cast<uint32_t>(i),
                    dir, &manifest.columns[i]);
     if (!st.ok()) return st;
@@ -668,11 +559,11 @@ IoStatus SaveTableSnapshot(const Table& table, const std::string& dir) {
                         EncodeManifest(manifest));
 }
 
-IoStatus LoadTableSnapshot(const std::string& dir,
-                           const SnapshotLoadOptions& options, Table* out) {
+Status LoadTableSnapshot(const std::string& dir,
+                         const SnapshotLoadOptions& options, Table* out) {
   const std::string manifest_path = dir + "/" + kSnapshotManifestFile;
   std::string manifest_bytes;
-  IoStatus st = ReadFileToString(manifest_path, &manifest_bytes);
+  Status st = ReadFileToString(manifest_path, &manifest_bytes);
   if (!st.ok()) return st;
   Manifest manifest;
   st = DecodeManifest(manifest_bytes, manifest_path, &manifest);
@@ -684,7 +575,7 @@ IoStatus LoadTableSnapshot(const std::string& dir,
     if (!st.ok()) return st;
   }
   *out = std::move(table);
-  return IoStatus::Ok();
+  return Status::Ok();
 }
 
 std::vector<std::string> ListSnapshotTables(const std::string& root) {
@@ -707,12 +598,12 @@ bool SnapshotExists(const std::string& dir) {
          S_ISREG(st.st_mode);
 }
 
-IoStatus Table::SaveSnapshot(const std::string& dir) const {
+Status Table::SaveSnapshot(const std::string& dir) const {
   return SaveTableSnapshot(*this, dir);
 }
 
-IoStatus Table::LoadSnapshot(const std::string& dir,
-                             const SnapshotLoadOptions& options, Table* out) {
+Status Table::LoadSnapshot(const std::string& dir,
+                           const SnapshotLoadOptions& options, Table* out) {
   return LoadTableSnapshot(dir, options, out);
 }
 

@@ -30,27 +30,6 @@ void SetSocketTimeout(int fd, int which, double seconds) {
   setsockopt(fd, SOL_SOCKET, which, &tv, sizeof(tv));
 }
 
-// Maps the wire error taxonomy back onto the engine's typed status, so
-// callers can treat a remote cancellation/deadline exactly like a local
-// one. Transport-ish codes collapse to kResourceExhausted-flavoured
-// failure via RemoteResult::error instead.
-ExecStatus StatusFromError(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::kNone:
-      return ExecStatus::Ok();
-    case ErrorCode::kCancelled:
-      return ExecStatus::Cancelled("cancelled (remote)");
-    case ErrorCode::kDeadlineExceeded:
-      return ExecStatus::DeadlineExceeded("deadline exceeded (remote)");
-    case ErrorCode::kResourceExhausted:
-      return ExecStatus::ResourceExhausted("resource exhausted (remote)");
-    default:
-      // Not an execution outcome; leave status ok and let callers consult
-      // RemoteResult::error.
-      return ExecStatus::Ok();
-  }
-}
-
 // Blocking connect with a timeout: non-blocking connect + poll(POLLOUT),
 // then back to blocking mode.
 bool ConnectWithTimeout(int fd, const sockaddr* addr, socklen_t len,
@@ -94,42 +73,6 @@ bool ConnectWithTimeout(int fd, const sockaddr* addr, socklen_t len,
 }
 
 }  // namespace
-
-const char* ClientStatusName(ClientStatus status) {
-  switch (status) {
-    case ClientStatus::kOk: return "ok";
-    case ClientStatus::kNotConnected: return "not_connected";
-    case ClientStatus::kTransportError: return "transport_error";
-    case ClientStatus::kCallTimeout: return "call_timeout";
-    case ClientStatus::kServerError: return "server_error";
-  }
-  return "unknown";
-}
-
-Status ToStatus(ClientStatus status, std::string detail) {
-  switch (status) {
-    case ClientStatus::kOk: return Status::Ok();
-    case ClientStatus::kNotConnected:
-      return Status::FailedPrecondition(std::move(detail));
-    case ClientStatus::kTransportError:
-      return Status::Unavailable(std::move(detail));
-    case ClientStatus::kCallTimeout:
-      return Status::DeadlineExceeded(std::move(detail));
-    case ClientStatus::kServerError:
-      return Status::Internal(std::move(detail));
-  }
-  return Status::Internal(std::move(detail));
-}
-
-ClientStatus ClientStatusFromStatus(const Status& status) {
-  switch (status.code) {
-    case StatusCode::kOk: return ClientStatus::kOk;
-    case StatusCode::kFailedPrecondition: return ClientStatus::kNotConnected;
-    case StatusCode::kDeadlineExceeded: return ClientStatus::kCallTimeout;
-    case StatusCode::kInternal: return ClientStatus::kServerError;
-    default: return ClientStatus::kTransportError;
-  }
-}
 
 McsortClient::McsortClient(const ClientOptions& options) : options_(options) {}
 
@@ -290,16 +233,24 @@ RemoteResult McsortClient::Query(const QuerySpec& spec,
   return out;
 }
 
-ClientStatus McsortClient::TryQuery(const QuerySpec& spec,
-                                    const QueryCallOptions& options,
-                                    RemoteResult* result) {
+Status McsortClient::TryQuery(const QuerySpec& spec,
+                              const QueryCallOptions& options,
+                              RemoteResult* result) {
   *result = RemoteResult();
   RemoteResult& out = *result;
-  if (fd_ < 0) {
-    out.error = ErrorCode::kInternal;
-    out.error_detail = "not connected";
-    return ClientStatus::kNotConnected;
-  }
+  const auto finish = [&out](Status status) {
+    out.status = std::move(status);
+    return out.status;
+  };
+  // A failed transport leaves the stream position unrecoverable (the
+  // server may still be streaming an abandoned result): the connection
+  // dies and the caller must Connect again.
+  const auto transport_failure = [&](Status status) {
+    inflight_query_.store(0, std::memory_order_release);
+    FailTransport();
+    return finish(std::move(status));
+  };
+  if (fd_ < 0) return finish(Status::FailedPrecondition("not connected"));
 
   QueryEnvelope envelope;
   envelope.table = options.table;
@@ -321,10 +272,7 @@ ClientStatus McsortClient::TryQuery(const QuerySpec& spec,
   const uint64_t id = NextRequestId();
   inflight_query_.store(id, std::memory_order_release);
   if (!SendFrame(FrameType::kQuery, id, EncodeQuery(envelope))) {
-    inflight_query_.store(0, std::memory_order_release);
-    out.error_detail = "send failed";
-    FailTransport();
-    return ClientStatus::kTransportError;
+    return transport_failure(Status::Unavailable("send failed"));
   }
 
   ResultAssembler assembler;
@@ -332,44 +280,32 @@ ClientStatus McsortClient::TryQuery(const QuerySpec& spec,
   for (;;) {
     bool timed_out = false;
     if (!ReadReplyUntil(id, &frame, has_deadline, deadline, &timed_out)) {
-      inflight_query_.store(0, std::memory_order_release);
-      // The server may still be streaming the abandoned result; the stream
-      // position is unrecoverable either way, so the connection dies.
-      FailTransport();
-      out.error_detail =
-          timed_out ? "call timed out" : "connection lost mid-reply";
-      return timed_out ? ClientStatus::kCallTimeout
-                       : ClientStatus::kTransportError;
+      return transport_failure(
+          timed_out ? Status::DeadlineExceeded("call timed out")
+                    : Status::Unavailable("connection lost mid-reply"));
     }
     if (frame.type() == FrameType::kError) {
-      inflight_query_.store(0, std::memory_order_release);
       ErrorInfo info;
-      if (!DecodeError(frame.payload, &info)) {
-        out.error_detail = "malformed error frame";
-        FailTransport();
-        return ClientStatus::kTransportError;
+      if (!DecodeError(frame.payload, &info) ||
+          info.code == ErrorCode::kNone) {
+        return transport_failure(
+            Status::Unavailable("malformed error frame"));
       }
+      inflight_query_.store(0, std::memory_order_release);
       if (has_deadline) {
         SetSocketTimeout(fd_, SO_RCVTIMEO, options_.io_timeout_seconds);
       }
       out.transport_ok = true;
       out.error = info.code;
-      out.error_detail = info.detail;
-      out.status = StatusFromError(info.code);
-      return ClientStatus::kServerError;
+      return finish(ToStatus(info.code, std::move(info.detail)));
     }
     if (frame.type() != FrameType::kResult) {
       // Unrelated frame type with our id — protocol confusion; bail.
-      inflight_query_.store(0, std::memory_order_release);
-      out.error_detail = "unexpected frame type in result stream";
-      FailTransport();
-      return ClientStatus::kTransportError;
+      return transport_failure(
+          Status::Unavailable("unexpected frame type in result stream"));
     }
     if (!assembler.Consume(frame.payload, frame.last_chunk())) {
-      inflight_query_.store(0, std::memory_order_release);
-      out.error_detail = "malformed result chunk";
-      FailTransport();
-      return ClientStatus::kTransportError;
+      return transport_failure(Status::Unavailable("malformed result chunk"));
     }
     if (assembler.done()) break;
   }
@@ -379,8 +315,6 @@ ClientStatus McsortClient::TryQuery(const QuerySpec& spec,
     SetSocketTimeout(fd_, SO_RCVTIMEO, options_.io_timeout_seconds);
   }
   out.transport_ok = true;
-  out.error = ErrorCode::kNone;
-  out.status = ExecStatus::Ok();
   ResultPayload& payload = assembler.result();
   out.summary = payload.summary;
   out.aggregate_values = std::move(payload.aggregate_values);
@@ -389,7 +323,7 @@ ClientStatus McsortClient::TryQuery(const QuerySpec& spec,
   out.result_oids = std::move(payload.result_oids);
   out.result_group_order = std::move(payload.result_group_order);
   out.extras = std::move(payload.extras);
-  return ClientStatus::kOk;
+  return Status::Ok();
 }
 
 bool McsortClient::Cancel() {

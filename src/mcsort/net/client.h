@@ -43,7 +43,7 @@ struct QueryCallOptions {
   // Client-side wall-clock bound on the whole call (0 = none). Unlike
   // io_timeout_seconds (per socket operation, between frames) this caps
   // send + all result chunks together. On expiry TryQuery returns
-  // kCallTimeout and the connection is closed — the server may still be
+  // kDeadlineExceeded and the connection is closed — the server may still be
   // streaming the stale result, so the caller must Connect again (the
   // coordinator treats it like any transport failure and fails over).
   double call_timeout_seconds = 0;
@@ -53,36 +53,15 @@ struct QueryCallOptions {
   std::string table;  // empty = server default
 };
 
-// Typed outcome of TryQuery — what the *call* did, orthogonal to what the
-// server answered (RemoteResult::error carries the server's verdict when
-// the status is kServerError).
-enum class ClientStatus : uint8_t {
-  kOk = 0,
-  kNotConnected,    // no live connection; Connect (again) first
-  kTransportError,  // socket/framing failed mid-call; connection closed
-  kCallTimeout,     // call_timeout_seconds expired; connection closed
-  kServerError,     // server answered a typed ERROR (see RemoteResult)
-};
-
-// Stable lowercase name ("ok", "transport_error", ...) for logs/metrics.
-const char* ClientStatusName(ClientStatus status);
-
-// Unified-status bridge (common/status.h): kNotConnected ->
-// kFailedPrecondition (call Connect first), kTransportError ->
-// kUnavailable (retry/fail over), kCallTimeout -> kDeadlineExceeded,
-// kServerError -> kInternal (the server's own verdict travels separately
-// in RemoteResult). FromStatus inverts onto the canonical member.
-Status ToStatus(ClientStatus status, std::string detail = "");
-ClientStatus ClientStatusFromStatus(const Status& status);
-
-// Outcome of one remote query. `transport_ok` distinguishes "the wire
-// failed" (connection lost, garbled reply) from "the server answered" —
-// when it is true, `error`/`status` carry the server's typed verdict.
+// Outcome of one remote query. `status` is the whole call's outcome (see
+// McsortClient::TryQuery). `transport_ok` distinguishes "the wire failed"
+// (connection lost, garbled reply, call timeout) from "the server
+// answered"; when it is true, `error` is the server's wire verdict (kNone
+// on success), which the coordinator's retry rule branches on.
 struct RemoteResult {
   bool transport_ok = false;
-  ErrorCode error = ErrorCode::kNone;  // kNone on success
-  std::string error_detail;
-  ExecStatus status;  // execution outcome mapped back from the wire
+  ErrorCode error = ErrorCode::kNone;
+  Status status;
 
   ResultSummary summary;
   std::vector<std::vector<int64_t>> aggregate_values;
@@ -94,18 +73,7 @@ struct RemoteResult {
   // want_merge_keys and the server supports them).
   ResultExtras extras;
 
-  bool ok() const {
-    return transport_ok && error == ErrorCode::kNone && status.ok();
-  }
-
-  // The whole call collapsed to one unified status: the transport's
-  // verdict when the wire failed, else the server's typed error, else the
-  // execution outcome. ok() == ToStatus().ok().
-  Status ToStatus() const {
-    if (!transport_ok) return Status::Unavailable(error_detail);
-    if (error != ErrorCode::kNone) return net::ToStatus(error, error_detail);
-    return status.ToStatus();
-  }
+  bool ok() const { return transport_ok && status.ok(); }
 };
 
 // Outcome of a remote SAVE_TABLE / LOAD_TABLE. The server runs the
@@ -165,13 +133,15 @@ class McsortClient {
   RemoteResult Query(const QuerySpec& spec,
                      const QueryCallOptions& options = {});
 
-  // Non-throwing, typed-status variant: same call, but the caller learns
-  // *why* a call failed without parsing error strings — the coordinator's
-  // retry logic branches on this. `*result` is always filled (on kOk /
-  // kServerError it carries the server's answer; otherwise only
-  // error_detail is meaningful).
-  ClientStatus TryQuery(const QuerySpec& spec, const QueryCallOptions& options,
-                        RemoteResult* result);
+  // Same call, returning the outcome (also stored in result->status) so
+  // the caller learns *why* a call failed without parsing error strings:
+  // kFailedPrecondition when not connected, kUnavailable on a transport
+  // failure, kDeadlineExceeded when call_timeout_seconds expired, and a
+  // server ERROR mapped through net::ToStatus (result->error keeps the
+  // wire code). `*result` is always filled; on a server answer it carries
+  // the server's verdict or result.
+  Status TryQuery(const QuerySpec& spec, const QueryCallOptions& options,
+                  RemoteResult* result);
 
   // Cancels the Query currently blocked in another thread. Returns false
   // when no query is in flight or the frame could not be sent.

@@ -64,12 +64,11 @@ struct McsortServer::Conn {
 };
 
 struct McsortServer::Job {
-  // What the worker should do. Table ops (snapshot save/load) and DML run
-  // on the same worker pool as queries so the event loop never touches a
-  // disk or a version mutex.
-  enum class Kind { kQuery, kSaveTable, kLoadTable, kDml };
-
-  Kind kind = Kind::kQuery;
+  // What the worker should do: the request's frame type (kQuery,
+  // kSaveTable, kLoadTable or kDml). Table ops (snapshot save/load) and
+  // DML run on the same worker pool as queries so the event loop never
+  // touches a disk or a version mutex.
+  FrameType type = FrameType::kQuery;
   std::shared_ptr<Conn> conn;
   uint64_t request_id = 0;
   // Catalog name the worker resolves (empty = default table). Resolution
@@ -115,15 +114,20 @@ struct McsortServer::NetCounters {
         query_seconds(metrics->histogram("net.query_seconds")) {}
 };
 
-namespace {
+// One session per (worker, table name): QuerySession is single-threaded by
+// contract, and a worker runs one query at a time. The cached shared_ptr
+// pins the table across catalog eviction while its session lives; a
+// LOAD_TABLE that rebinds the name is picked up on the next query because
+// the cached pointer no longer matches the resolution.
+struct McsortServer::WorkerSessions {
+  struct Cached {
+    std::shared_ptr<const Table> table;
+    std::unique_ptr<QuerySession> session;
+  };
+  std::unordered_map<std::string, Cached> by_table;
+};
 
-// Executor outcomes reach the wire through the unified status hub: the
-// ExecStatus is lifted to mcsort::Status and serialized with the one wire
-// mapping, so a remote peer sees exactly what a local caller would.
-ErrorCode ErrorCodeOf(const ExecStatus& status) {
-  if (status.ok()) return ErrorCode::kInternal;  // "error" path only
-  return ToErrorCode(status.ToStatus());
-}
+namespace {
 
 bool ColumnsExist(const Table& table, const std::vector<std::string>& names,
                   std::string* detail) {
@@ -741,14 +745,10 @@ void McsortServer::DispatchFrame(const std::shared_ptr<Conn>& conn,
       EnqueueFrames(conn, {}, /*close_after=*/true);
       return;
     case FrameType::kQuery:
-      HandleQueryFrame(conn, frame);
-      return;
     case FrameType::kSaveTable:
     case FrameType::kLoadTable:
-      HandleTableOpFrame(conn, frame);
-      return;
     case FrameType::kDml:
-      HandleDmlFrame(conn, frame);
+      HandleJobFrame(conn, frame);
       return;
     default:
       SendError(conn, id, ErrorCode::kUnknownType, "unhandled frame type");
@@ -756,12 +756,20 @@ void McsortServer::DispatchFrame(const std::shared_ptr<Conn>& conn,
   }
 }
 
-void McsortServer::HandleQueryFrame(const std::shared_ptr<Conn>& conn,
-                                    const Frame& frame) {
+void McsortServer::HandleJobFrame(const std::shared_ptr<Conn>& conn,
+                                  const Frame& frame) {
   const uint64_t id = frame.header.request_id;
-  counters_->queries->Increment();
+  Job job;
+  job.type = frame.type();
+  job.conn = conn;
+  job.request_id = id;
+  const char* what = job.type == FrameType::kQuery ? "QUERY"
+                     : job.type == FrameType::kDml ? "DML"
+                                                   : "table op";
+  if (job.type == FrameType::kQuery) counters_->queries->Increment();
   if (!conn->hello_done) {
-    SendError(conn, id, ErrorCode::kProtocolViolation, "QUERY before HELLO");
+    SendError(conn, id, ErrorCode::kProtocolViolation,
+              std::string(what) + " before HELLO");
     return;
   }
   if (draining_) {
@@ -775,121 +783,44 @@ void McsortServer::HandleQueryFrame(const std::shared_ptr<Conn>& conn,
   }
   if (already_running) {
     counters_->busy_rejects->Increment();
-    SendError(conn, id, ErrorCode::kBusy, "a query is already in flight");
+    SendError(conn, id, ErrorCode::kBusy, "a request is already in flight");
     return;
   }
   if (inflight_.load(std::memory_order_relaxed) >=
       options_.max_inflight_queries) {
     counters_->busy_rejects->Increment();
-    SendError(conn, id, ErrorCode::kBusy, "server at max in-flight queries");
-    return;
-  }
-
-  QueryEnvelope envelope;
-  if (!DecodeQuery(frame.payload, &envelope)) {
-    SendError(conn, id, ErrorCode::kMalformedQuery,
-              "QUERY payload did not decode");
+    SendError(conn, id, ErrorCode::kBusy, "server at max in-flight requests");
     return;
   }
 
   // Table resolution and spec validation happen on the worker: resolving
   // an unloaded catalog table does disk IO, which must never block the
-  // event loop. The worker answers kUnknownTable / kBadQuery the same way
-  // it answers execution errors.
-  Job job;
-  job.conn = conn;
-  job.request_id = id;
-  job.table_name = std::move(envelope.table);
-  job.spec = std::move(envelope.spec);
-  job.want_merge_keys = envelope.want_merge_keys;
-  if (envelope.deadline_micros > 0) {
-    job.has_deadline = true;
-    job.deadline =
-        Clock::now() + std::chrono::microseconds(envelope.deadline_micros);
+  // event loop.
+  bool decoded;
+  if (job.type == FrameType::kQuery) {
+    QueryEnvelope envelope;
+    decoded = DecodeQuery(frame.payload, &envelope);
+    job.table_name = std::move(envelope.table);
+    job.spec = std::move(envelope.spec);
+    job.want_merge_keys = envelope.want_merge_keys;
+    if (envelope.deadline_micros > 0) {
+      job.has_deadline = true;
+      job.deadline =
+          Clock::now() + std::chrono::microseconds(envelope.deadline_micros);
+    }
+  } else if (job.type == FrameType::kDml) {
+    decoded = DecodeDml(frame.payload, &job.dml);
+    job.table_name = job.dml.table;
+  } else {
+    TableOpRequest request;
+    decoded = DecodeTableOp(frame.payload, &request);
+    job.table_name = std::move(request.table);
   }
-  EnqueueJob(std::move(job));
-}
-
-void McsortServer::HandleTableOpFrame(const std::shared_ptr<Conn>& conn,
-                                      const Frame& frame) {
-  const uint64_t id = frame.header.request_id;
-  if (!conn->hello_done) {
-    SendError(conn, id, ErrorCode::kProtocolViolation,
-              "table op before HELLO");
-    return;
-  }
-  if (draining_) {
-    SendError(conn, id, ErrorCode::kShuttingDown, "server draining");
-    return;
-  }
-  bool already_running;
-  {
-    std::lock_guard<std::mutex> lock(conn->out_mu);
-    already_running = conn->query_running;
-  }
-  if (already_running) {
-    counters_->busy_rejects->Increment();
-    SendError(conn, id, ErrorCode::kBusy, "a request is already in flight");
-    return;
-  }
-  if (inflight_.load(std::memory_order_relaxed) >=
-      options_.max_inflight_queries) {
-    counters_->busy_rejects->Increment();
-    SendError(conn, id, ErrorCode::kBusy, "server at max in-flight requests");
-    return;
-  }
-  TableOpRequest request;
-  if (!DecodeTableOp(frame.payload, &request)) {
+  if (!decoded) {
     SendError(conn, id, ErrorCode::kMalformedQuery,
-              "table op payload did not decode");
+              std::string(what) + " payload did not decode");
     return;
   }
-  Job job;
-  job.kind = frame.type() == FrameType::kSaveTable ? Job::Kind::kSaveTable
-                                                   : Job::Kind::kLoadTable;
-  job.conn = conn;
-  job.request_id = id;
-  job.table_name = std::move(request.table);
-  EnqueueJob(std::move(job));
-}
-
-void McsortServer::HandleDmlFrame(const std::shared_ptr<Conn>& conn,
-                                  const Frame& frame) {
-  const uint64_t id = frame.header.request_id;
-  if (!conn->hello_done) {
-    SendError(conn, id, ErrorCode::kProtocolViolation, "DML before HELLO");
-    return;
-  }
-  if (draining_) {
-    SendError(conn, id, ErrorCode::kShuttingDown, "server draining");
-    return;
-  }
-  bool already_running;
-  {
-    std::lock_guard<std::mutex> lock(conn->out_mu);
-    already_running = conn->query_running;
-  }
-  if (already_running) {
-    counters_->busy_rejects->Increment();
-    SendError(conn, id, ErrorCode::kBusy, "a request is already in flight");
-    return;
-  }
-  if (inflight_.load(std::memory_order_relaxed) >=
-      options_.max_inflight_queries) {
-    SendError(conn, id, ErrorCode::kBusy, "server at max in-flight requests");
-    counters_->busy_rejects->Increment();
-    return;
-  }
-  Job job;
-  job.kind = Job::Kind::kDml;
-  if (!DecodeDml(frame.payload, &job.dml)) {
-    SendError(conn, id, ErrorCode::kMalformedQuery,
-              "DML payload did not decode");
-    return;
-  }
-  job.conn = conn;
-  job.request_id = id;
-  job.table_name = job.dml.table;
   EnqueueJob(std::move(job));
 }
 
@@ -913,16 +844,7 @@ void McsortServer::EnqueueJob(Job job) {
 // ---------------------------------------------------------------------------
 
 void McsortServer::WorkerThread() {
-  // One session per (worker, table name): QuerySession is single-threaded
-  // by contract, and a worker runs one query at a time. The cached
-  // shared_ptr pins the table across catalog eviction while its session
-  // lives; a LOAD_TABLE that rebinds the name is picked up on the next
-  // query because the cached pointer no longer matches the resolution.
-  struct CachedSession {
-    std::shared_ptr<const Table> table;
-    std::unique_ptr<QuerySession> session;
-  };
-  std::unordered_map<std::string, CachedSession> sessions;
+  WorkerSessions sessions;
   for (;;) {
     Job job;
     {
@@ -938,135 +860,104 @@ void McsortServer::WorkerThread() {
       job = std::move(jobs_.front());
       jobs_.pop_front();
     }
-
     std::vector<std::string> frames;
-    if (job.kind == Job::Kind::kDml) {
-      const delta::DmlOutcome outcome = service_->ApplyDml(job.dml);
-      service_->metrics().counter("net.dml")->Increment();
-      if (outcome.status.code == StatusCode::kNotFound) {
-        frames.push_back(
-            SealFrame(FrameType::kError, 0, job.request_id,
-                      EncodeError({ErrorCode::kUnknownTable,
-                                   outcome.status.detail})));
-      } else if (!outcome.status.ok()) {
-        // Op-level rejection (bad column list, bad predicate): nothing was
-        // applied; answer a typed ERROR like an invalid query.
-        frames.push_back(SealFrame(
-            FrameType::kError, 0, job.request_id,
-            EncodeError({ErrorCode::kBadQuery, outcome.status.detail})));
-      } else {
-        DmlReply reply;
-        reply.ok = true;
-        reply.status_code = static_cast<uint8_t>(outcome.status.code);
-        reply.detail = outcome.status.detail;
-        reply.rows_affected = outcome.rows_affected;
-        reply.rows_rejected = outcome.rows_rejected;
-        reply.delta_rows = outcome.delta_rows;
-        reply.epoch = outcome.epoch;
-        reply.row_errors = outcome.row_errors;
-        frames.push_back(SealFrame(FrameType::kDmlReply, 0, job.request_id,
-                                   EncodeDmlReply(reply)));
-      }
-      FinishJob(job, std::move(frames));
-      continue;
-    }
-    if (job.kind != Job::Kind::kQuery) {
-      Timer timer;
-      const bool is_save = job.kind == Job::Kind::kSaveTable;
-      const Status status = is_save ? service_->SaveTable(job.table_name)
-                                    : service_->LoadTable(job.table_name);
-      TableOpReply reply;
-      reply.ok = status.ok();
-      // The wire reply still speaks the snapshot codec's IoCode; recover it
-      // from the unified status (kOk has no IoCode — leave the zero value).
-      reply.io_code =
-          static_cast<uint8_t>(IoStatus::FromStatus(status).code);
-      reply.detail = status.detail;
-      reply.seconds = timer.Seconds();
-      if (status.ok()) {
-        if (const Table* table = service_->FindTable(job.table_name)) {
-          reply.rows = table->row_count();
-        }
-      }
-      service_->metrics()
-          .counter(is_save ? "net.save_table" : "net.load_table")
-          ->Increment();
-      frames.push_back(SealFrame(FrameType::kTableOpReply, 0, job.request_id,
-                                 EncodeTableOpReply(reply)));
-      FinishJob(job, std::move(frames));
-      continue;
-    }
-
-    Timer timer;
-    const std::shared_ptr<const Table> table =
-        service_->FindTableShared(job.table_name);
-    if (table == nullptr) {
-      frames.push_back(
-          SealFrame(FrameType::kError, 0, job.request_id,
-                    EncodeError({ErrorCode::kUnknownTable,
-                                 "unknown table: " + job.table_name})));
-      FinishJob(job, std::move(frames));
-      continue;
-    }
-    std::string detail;
-    const ErrorCode invalid = ValidateSpec(*table, job.spec, &detail);
-    if (invalid != ErrorCode::kNone) {
-      frames.push_back(SealFrame(FrameType::kError, 0, job.request_id,
-                                 EncodeError({invalid, detail})));
-      FinishJob(job, std::move(frames));
-      continue;
-    }
-
-    CachedSession& cached = sessions[job.table_name];
-    if (cached.session == nullptr || cached.table != table) {
-      cached.table = table;
-      cached.session = service_->OpenSession(*table);
-    }
-    ExecContext ctx;
-    ctx.WithToken(job.cancel.token());
-    if (job.has_deadline) ctx.WithDeadline(job.deadline);
-    if (options_.scratch_budget_bytes > 0) {
-      ctx.WithScratchBudget(options_.scratch_budget_bytes);
-    }
-    const ExecResult run = cached.session->Execute(job.spec, ctx);
-    counters_->query_seconds->Record(timer.Seconds());
-
-    if (run.ok()) {
-      if (job.want_merge_keys) {
-        dist::MergeKeys keys =
-            dist::ComputeMergeKeys(*table, job.spec, run.result);
-        if (!keys.ok) {
-          frames.push_back(
-              SealFrame(FrameType::kError, 0, job.request_id,
-                        EncodeError({ErrorCode::kBadQuery, keys.error})));
-          FinishJob(job, std::move(frames));
-          continue;
-        }
-        counters_->queries_ok->Increment();
-        ResultExtras extras;
-        extras.merge_key_hi = std::move(keys.hi);
-        extras.merge_key_lo = std::move(keys.lo);
-        extras.group_sizes = std::move(keys.group_sizes);
-        extras.global_oids = std::move(keys.global_oids);
-        BuildResultFrames(job.request_id, run.result,
-                          options_.result_chunk_bytes, &frames, &extras);
-        FinishJob(job, std::move(frames));
-        continue;
-      }
-      counters_->queries_ok->Increment();
-      BuildResultFrames(job.request_id, run.result,
-                        options_.result_chunk_bytes, &frames);
-    } else {
-      const ErrorCode code = ErrorCodeOf(run.status);
-      service_->metrics()
-          .counter(std::string("net.query_error.") + ErrorCodeName(code))
-          ->Increment();
-      frames.push_back(
-          SealFrame(FrameType::kError, 0, job.request_id,
-                    EncodeError({code, run.status.detail})));
+    const Status status = RunJob(job, &sessions, &frames);
+    if (!status.ok()) {
+      frames.assign(1, SealFrame(FrameType::kError, 0, job.request_id,
+                                 EncodeError({ToErrorCode(status),
+                                              status.detail})));
     }
     FinishJob(job, std::move(frames));
   }
+}
+
+Status McsortServer::RunJob(Job& job, WorkerSessions* sessions,
+                            std::vector<std::string>* frames) {
+  if (job.type == FrameType::kDml) {
+    const delta::DmlOutcome outcome = service_->ApplyDml(job.dml);
+    service_->metrics().counter("net.dml")->Increment();
+    // An op-level rejection (unknown table, bad column list, bad
+    // predicate) applied nothing: it is answered as a typed ERROR.
+    if (!outcome.status.ok()) return outcome.status;
+    DmlReply reply;
+    reply.ok = true;
+    reply.rows_affected = outcome.rows_affected;
+    reply.rows_rejected = outcome.rows_rejected;
+    reply.delta_rows = outcome.delta_rows;
+    reply.epoch = outcome.epoch;
+    reply.row_errors = outcome.row_errors;
+    frames->push_back(SealFrame(FrameType::kDmlReply, 0, job.request_id,
+                                EncodeDmlReply(reply)));
+    return Status::Ok();
+  }
+  if (job.type != FrameType::kQuery) {
+    Timer timer;
+    const bool is_save = job.type == FrameType::kSaveTable;
+    const Status status = is_save ? service_->SaveTable(job.table_name)
+                                  : service_->LoadTable(job.table_name);
+    TableOpReply reply;
+    reply.ok = status.ok();
+    reply.status_code = static_cast<uint8_t>(status.code);
+    reply.detail = status.detail;
+    reply.seconds = timer.Seconds();
+    if (status.ok()) {
+      if (const Table* table = service_->FindTable(job.table_name)) {
+        reply.rows = table->row_count();
+      }
+    }
+    service_->metrics()
+        .counter(is_save ? "net.save_table" : "net.load_table")
+        ->Increment();
+    frames->push_back(SealFrame(FrameType::kTableOpReply, 0, job.request_id,
+                                EncodeTableOpReply(reply)));
+    return Status::Ok();
+  }
+
+  Timer timer;
+  const std::shared_ptr<const Table> table =
+      service_->FindTableShared(job.table_name);
+  if (table == nullptr) {
+    return Status::NotFound("unknown table: " + job.table_name);
+  }
+  std::string detail;
+  const ErrorCode invalid = ValidateSpec(*table, job.spec, &detail);
+  if (invalid != ErrorCode::kNone) return ToStatus(invalid, detail);
+
+  WorkerSessions::Cached& cached = sessions->by_table[job.table_name];
+  if (cached.session == nullptr || cached.table != table) {
+    cached.table = table;
+    cached.session = service_->OpenSession(*table);
+  }
+  ExecContext ctx;
+  ctx.WithToken(job.cancel.token());
+  if (job.has_deadline) ctx.WithDeadline(job.deadline);
+  if (options_.scratch_budget_bytes > 0) {
+    ctx.WithScratchBudget(options_.scratch_budget_bytes);
+  }
+  const ExecResult run = cached.session->Execute(job.spec, ctx);
+  counters_->query_seconds->Record(timer.Seconds());
+  if (!run.ok()) {
+    service_->metrics()
+        .counter(std::string("net.query_error.") +
+                 ErrorCodeName(ToErrorCode(run.status)))
+        ->Increment();
+    return run.status;
+  }
+
+  ResultExtras extras;
+  if (job.want_merge_keys) {
+    dist::MergeKeys keys =
+        dist::ComputeMergeKeys(*table, job.spec, run.result);
+    if (!keys.ok) return Status::InvalidArgument(keys.error);
+    extras.merge_key_hi = std::move(keys.hi);
+    extras.merge_key_lo = std::move(keys.lo);
+    extras.group_sizes = std::move(keys.group_sizes);
+    extras.global_oids = std::move(keys.global_oids);
+  }
+  counters_->queries_ok->Increment();
+  BuildResultFrames(job.request_id, run.result, options_.result_chunk_bytes,
+                    frames, job.want_merge_keys ? &extras : nullptr);
+  return Status::Ok();
 }
 
 void McsortServer::FinishJob(Job& job, std::vector<std::string> frames) {

@@ -125,9 +125,15 @@ class McsortServer {
  private:
   struct Conn;
   struct Job;
+  struct WorkerSessions;
 
   void LoopThread();
   void WorkerThread();
+  // Worker-side execution of one job (QUERY, SAVE/LOAD_TABLE or DML):
+  // appends the reply frames, or returns the non-ok Status the worker
+  // answers as one typed ERROR frame.
+  Status RunJob(Job& job, WorkerSessions* sessions,
+                std::vector<std::string>* frames);
   // Worker-side epilogue: queue the reply frames, clear the connection's
   // in-flight state, decrement inflight_, and wake the loop.
   void FinishJob(Job& job, std::vector<std::string> frames);
@@ -137,11 +143,11 @@ class McsortServer {
   void HandleReadable(const std::shared_ptr<Conn>& conn);
   void HandleWritable(const std::shared_ptr<Conn>& conn);
   void DispatchFrame(const std::shared_ptr<Conn>& conn, const Frame& frame);
-  void HandleQueryFrame(const std::shared_ptr<Conn>& conn,
-                        const Frame& frame);
-  void HandleTableOpFrame(const std::shared_ptr<Conn>& conn,
-                          const Frame& frame);
-  void HandleDmlFrame(const std::shared_ptr<Conn>& conn, const Frame& frame);
+  // Admission of every worker-offloaded request (QUERY, SAVE/LOAD_TABLE,
+  // DML): HELLO done, not draining, nothing already in flight on the
+  // connection, the server under its in-flight cap, and a payload that
+  // decodes. A refusal is answered right here with a typed ERROR.
+  void HandleJobFrame(const std::shared_ptr<Conn>& conn, const Frame& frame);
   // Marks the connection busy and hands the job to the executor workers.
   void EnqueueJob(Job job);
   void SweepTimeouts();

@@ -99,28 +99,27 @@ enum class ErrorCode : uint16_t {
   kMalformedQuery = 6,      // QUERY payload did not decode
   kBadQuery = 7,            // decoded, but semantically invalid for the table
   kBusy = 8,                // backpressure: connection or in-flight cap hit
-  kCancelled = 9,           // ExecCode::kCancelled over the wire
-  kDeadlineExceeded = 10,   // ExecCode::kDeadlineExceeded over the wire
-  kResourceExhausted = 11,  // ExecCode::kResourceExhausted over the wire
+  kCancelled = 9,           // StatusCode::kCancelled over the wire
+  kDeadlineExceeded = 10,   // StatusCode::kDeadlineExceeded over the wire
+  kResourceExhausted = 11,  // StatusCode::kResourceExhausted over the wire
   kShuttingDown = 12,       // server is draining; retry elsewhere/later
   kProtocolViolation = 13,  // e.g. QUERY before HELLO, duplicate HELLO
   kUnknownTable = 14,       // QUERY named a table the service doesn't have
   kInternal = 15,
-  kIoError = 16,            // SAVE/LOAD_TABLE failed (IoStatus in detail)
+  kIoError = 16,            // StatusCode::kUnavailable: IO failure
 };
 
 // Stable lowercase name ("crc_mismatch", "busy", ...) for metrics keys and
 // the bench's error taxonomy; "unknown" for out-of-range values.
 const char* ErrorCodeName(ErrorCode code);
 
-// Unified-status bridge (common/status.h) — THE wire error mapping. Every
-// server-side status (executor outcome, catalog IoStatus, validation
-// verdict) is converted to mcsort::Status first and serialized with
-// ToErrorCode; the client inverts with ToStatus. Frame-shell codes
-// (malformed/crc/oversized/...) have no Status twin of their own — they
-// collapse onto kInvalidArgument/kDataLoss/kFailedPrecondition — so
-// ToErrorCode(ToStatus(e)) lands on each class's canonical member, which
-// is what the round-trip test pins down.
+// The one status conversion of the system (common/status.h): every
+// server-side Status (executor outcome, snapshot IO, validation verdict)
+// is serialized with ToErrorCode; the client inverts with ToStatus.
+// Frame-shell codes (malformed/crc/oversized/...) have no Status twin of
+// their own — they collapse onto kInvalidArgument / kDataLoss /
+// kFailedPrecondition — so ToErrorCode(ToStatus(e)) lands on each class's
+// canonical member, which is what the round-trip test pins down.
 Status ToStatus(ErrorCode code, std::string detail = "");
 ErrorCode ToErrorCode(const Status& status);
 

@@ -44,7 +44,7 @@ class AdmissionController {
 
   // RAII admission ticket; releases the slot and budget on destruction —
   // including every error path: a session that unwinds with a non-ok
-  // ExecStatus (or throws past the ticket) frees its slot the moment the
+  // Status (or throws past the ticket) frees its slot the moment the
   // ticket goes out of scope, never by an explicit call the error path
   // could skip.
   class Ticket {
@@ -56,7 +56,7 @@ class AdmissionController {
     void Release();
     bool admitted() const { return controller_ != nullptr; }
     // kOk when admitted; the stop code when the wait was abandoned.
-    const ExecStatus& status() const { return status_; }
+    const Status& status() const { return status_; }
     // Seconds spent queued before admission (or before abandoning).
     double wait_seconds() const { return wait_seconds_; }
 
@@ -65,7 +65,7 @@ class AdmissionController {
     AdmissionController* controller_ = nullptr;
     size_t bytes_ = 0;
     double wait_seconds_ = 0;
-    ExecStatus status_;
+    Status status_;
   };
 
   // Blocks until a slot (and budget) frees up, FIFO. A stoppable `ctx`

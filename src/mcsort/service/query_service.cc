@@ -233,14 +233,14 @@ Status QueryService::SaveTable(const std::string& name) {
   // written table saves its merged image, so the snapshot never loses
   // un-compacted rows.
   if (version != nullptr) table = version->Snapshot();
-  const IoStatus st = SaveTableSnapshot(*table, dir);
+  const Status st = SaveTableSnapshot(*table, dir);
   if (st.ok()) {
     std::lock_guard<std::mutex> lock(tables_mu_);
     Binding* binding = FindBindingLocked(name);
     if (binding != nullptr) binding->on_disk = true;
     metrics_.counter("catalog.saves")->Increment();
   }
-  return st.ToStatus();
+  return st;
 }
 
 Status QueryService::LoadTable(const std::string& name) {
@@ -258,10 +258,10 @@ Status QueryService::LoadTable(const std::string& name) {
     load = catalog_.load;
   }
   auto loaded = std::make_shared<Table>();
-  const IoStatus st = LoadTableSnapshot(dir, load, loaded.get());
+  const Status st = LoadTableSnapshot(dir, load, loaded.get());
   if (!st.ok()) {
     metrics_.counter("catalog.load_failures")->Increment();
-    return st.ToStatus();
+    return st;
   }
   std::lock_guard<std::mutex> lock(tables_mu_);
   Binding& binding = UpsertBindingLocked(name);
@@ -380,7 +380,7 @@ bool QueryService::CompactTable(const std::string& name) {
   delta::MergedTable merged = delta::BuildMergedTable(*job.base, job.snap);
   const uint64_t merged_rows = merged.table->row_count();
   if (save) {
-    const IoStatus st = SaveTableSnapshot(*merged.table, dir);
+    const Status st = SaveTableSnapshot(*merged.table, dir);
     if (!st.ok()) {
       // Publish in memory anyway: durability degraded, not correctness.
       metrics_.counter("compaction.save_failures")->Increment();
@@ -521,8 +521,8 @@ ExecResult QueryService::ExecuteOn(QuerySession* session,
   }
   QueryResult& result = out.result;
 
-  // Outcome accounting: exec.ok / exec.cancelled / exec.deadline_exceeded
-  // / exec.resource_exhausted, plus degradations absorbed along the way.
+  // Outcome accounting: exec.<status code name> (exec.ok, exec.cancelled,
+  // exec.unavailable, ...), plus degradations absorbed along the way.
   metrics_.counter(std::string("exec.") + out.status.name())->Increment();
   if (result.degraded) metrics_.counter("exec.degraded")->Increment();
   if (result.spill_key_too_wide) {

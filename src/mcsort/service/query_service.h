@@ -33,7 +33,6 @@
 #include "mcsort/delta/dml.h"
 #include "mcsort/delta/table_version.h"
 #include "mcsort/engine/query.h"
-#include "mcsort/io/io_status.h"
 #include "mcsort/service/admission.h"
 #include "mcsort/service/metrics.h"
 #include "mcsort/service/plan_cache.h"
@@ -160,11 +159,9 @@ class QueryService {
   // registered table to <dir>/<name>; LoadTable (re)loads <dir>/<name>
   // into memory and binds it, making it immediately queryable.
   //
-  // Unified-status entry points: the codec's IoStatus is lifted via
-  // IoStatus::ToStatus() (kNotFound for an unknown/unloaded table,
-  // kFailedPrecondition when no catalog is attached, kInvalidArgument for
-  // bad names). Wire front-ends recover the legacy TableOpReply io_code
-  // with IoStatus::FromStatus.
+  // Both return the snapshot codec's Status, plus kNotFound for an
+  // unknown/unloaded table, kFailedPrecondition when no catalog is
+  // attached, and kInvalidArgument for bad names.
   Status SaveTable(const std::string& name);
   Status LoadTable(const std::string& name);
 

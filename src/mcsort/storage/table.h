@@ -11,14 +11,27 @@
 #include <unordered_map>
 #include <vector>
 
-#include "mcsort/io/io_status.h"
-#include "mcsort/storage/bitweaving.h"
+#include "mcsort/common/status.h"
 #include "mcsort/storage/byteslice.h"
 #include "mcsort/storage/column.h"
 #include "mcsort/storage/dictionary.h"
 #include "mcsort/storage/statistics.h"
 
 namespace mcsort {
+
+// How LoadSnapshot materializes column codes.
+enum class SnapshotLoadMode {
+  kBuffered,  // read(2) into fresh AlignedBuffers; file independent after
+  kMmap,      // zero-copy: codes are views over a pinned PROT_READ mapping
+};
+
+struct SnapshotLoadOptions {
+  SnapshotLoadMode mode = SnapshotLoadMode::kBuffered;
+  // Verify every section's CRC32C at load. With kMmap this costs one
+  // sequential pass over the mapping (memory stays file-backed); turn it
+  // off to get the query-ready-in-milliseconds path and trust the medium.
+  bool verify_checksums = true;
+};
 
 class Table {
  public:
@@ -51,24 +64,19 @@ class Table {
   // native value = base + code.
   int64_t domain_base(const std::string& name) const;
 
-  // Statistics / ByteSlice / BitWeaving layouts, built lazily on first use
-  // and cached. Safe to call from concurrent query sessions: the first
-  // builder wins under a table-wide mutex and everyone reads the immutable
-  // result.
+  // Statistics / ByteSlice layouts, built lazily on first use and cached.
+  // Safe to call from concurrent query sessions: the first builder wins
+  // under a table-wide mutex and everyone reads the immutable result.
   const ColumnStats& stats(const std::string& name) const;
   const ByteSliceColumn& byteslice(const std::string& name) const;
-  const BitWeavingColumn& bitweaving(const std::string& name) const;
-  // The BitWeaving planes if already built or loaded, else nullptr; the
-  // snapshot writer uses it to serialize planes without caching them.
-  const BitWeavingColumn* cached_bitweaving(const std::string& name) const;
 
   // --- Snapshot persistence (implemented in io/snapshot.cc) -------------
   // Writes the table as a versioned on-disk snapshot directory; loads one
   // back, either copying into fresh buffers (kBuffered) or mapping the
   // code arrays zero-copy (kMmap; the mapping stays pinned to the table).
-  IoStatus SaveSnapshot(const std::string& dir) const;
-  static IoStatus LoadSnapshot(const std::string& dir,
-                               const SnapshotLoadOptions& options, Table* out);
+  Status SaveSnapshot(const std::string& dir) const;
+  static Status LoadSnapshot(const std::string& dir,
+                             const SnapshotLoadOptions& options, Table* out);
 
   // Loader plumbing: adds a column together with its dictionary / domain
   // base in one call, and installs pre-built caches so a loaded table never
@@ -78,7 +86,6 @@ class Table {
                         int64_t domain_base);
   void SetStats(const std::string& name, ColumnStats stats);
   void SetByteSlice(const std::string& name, ByteSliceColumn byteslice);
-  void SetBitWeaving(const std::string& name, BitWeavingColumn bitweaving);
 
   // Keeps `resource` (e.g. the MmapFile backing zero-copy column views)
   // alive for the table's lifetime.
@@ -96,7 +103,6 @@ class Table {
     int64_t domain_base = 0;
     mutable std::unique_ptr<ColumnStats> stats;
     mutable std::unique_ptr<ByteSliceColumn> byteslice;
-    mutable std::unique_ptr<BitWeavingColumn> bitweaving;
   };
 
   const Entry& Find(const std::string& name) const;

@@ -10,9 +10,8 @@
 // u16 -> u32 and u32 -> u64; dictionary growth with overflow values below
 // and above the base dictionary; sampled stats on both sides of the
 // bitmap guard. Also: the snapshot files of a compacted table equal files
-// written from the reference layouts, compaction leaves no BitWeaving
-// planes resident, and the typed DML predicate match agrees with a
-// per-row compare.
+// written from the reference layouts, and the typed DML predicate match
+// agrees with a per-row compare.
 #include <unistd.h>
 
 #include <algorithm>
@@ -33,7 +32,6 @@
 #include "mcsort/delta/table_version.h"
 #include "mcsort/io/fs_util.h"
 #include "mcsort/io/snapshot.h"
-#include "mcsort/service/query_service.h"
 #include "mcsort/storage/bitweaving.h"
 #include "mcsort/storage/byteslice.h"
 #include "mcsort/storage/column.h"
@@ -615,7 +613,7 @@ TEST(BuildersTest, CompactedSnapshotMatchesReferenceLayouts) {
           .ok());
 
   // The compactor's path: merge, then save (stats and ByteSlice cached on
-  // the merged table, BitWeaving woven locally).
+  // the merged table).
   const delta::TableVersion::CompactionJob job = version.BeginCompaction();
   const MergedTable merged = delta::BuildMergedTable(*job.base, job.snap);
   TempDir tmp;
@@ -630,9 +628,6 @@ TEST(BuildersTest, CompactedSnapshotMatchesReferenceLayouts) {
     ref.table->SetByteSlice(
         name, ByteSliceColumn::FromParts(column.width(), column.size(),
                                          ReferenceByteSlices(column)));
-    ref.table->SetBitWeaving(
-        name, BitWeavingColumn::FromParts(column.width(), column.size(),
-                                          ReferenceBitPlanes(column)));
   }
   ASSERT_TRUE(SaveTableSnapshot(*ref.table, tmp.path() + "/want").ok());
 
@@ -645,52 +640,6 @@ TEST(BuildersTest, CompactedSnapshotMatchesReferenceLayouts) {
     ASSERT_TRUE(ReadFileToString(tmp.path() + "/got/" + file, &got).ok());
     ASSERT_TRUE(ReadFileToString(tmp.path() + "/want/" + file, &want).ok());
     EXPECT_TRUE(got == want) << file << " differs";
-  }
-}
-
-TEST(BuildersTest, CompactionLeavesNoBitWeavingResident) {
-  TempDir tmp;
-  ServiceOptions options;
-  options.threads = 1;
-  options.use_calibration = false;
-  QueryService service(options);
-  CatalogOptions catalog;
-  catalog.dir = tmp.path();
-  service.SetCatalog(catalog);
-  service.AdoptTable("t", MergeBase(500, 67));
-  ASSERT_TRUE(service.ApplyDml(InsertRow(kDomainBase + 1, "golf")).ok());
-  ASSERT_TRUE(service.CompactTable("t"));
-  EXPECT_EQ(service.metrics().counter("compaction.save_failures")->value(), 0u);
-
-  const std::shared_ptr<const Table> base = service.FindTableShared("t");
-  ASSERT_NE(base, nullptr);
-  EXPECT_EQ(base->row_count(), 501u);
-  // The save wove the planes it wrote without caching them, so building
-  // them now adds exactly their bytes to the footprint.
-  const size_t before = base->MemoryBytes();
-  size_t planes_bytes = 0;
-  for (const std::string& name : base->column_names()) {
-    EXPECT_EQ(base->cached_bitweaving(name), nullptr) << name;
-    const BitWeavingColumn& planes = base->bitweaving(name);
-    planes_bytes += static_cast<size_t>(planes.width()) *
-                    planes.words_per_plane() * sizeof(uint64_t);
-  }
-  EXPECT_EQ(base->MemoryBytes(), before + planes_bytes);
-
-  // The snapshot still carries the section.
-  Table loaded;
-  ASSERT_TRUE(
-      LoadTableSnapshot(tmp.path() + "/t", SnapshotLoadOptions{}, &loaded)
-          .ok());
-  for (const std::string& name : base->column_names()) {
-    const BitWeavingColumn& want = base->bitweaving(name);
-    const BitWeavingColumn& got = loaded.bitweaving(name);
-    for (int j = 0; j < want.width(); ++j) {
-      EXPECT_EQ(std::memcmp(got.plane(j), want.plane(j),
-                            want.words_per_plane() * sizeof(uint64_t)),
-                0)
-          << name << " plane " << j;
-    }
   }
 }
 

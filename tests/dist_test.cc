@@ -496,7 +496,7 @@ class DistEndToEndTest : public ::testing::Test {
 
   void ExpectGroupsBitIdentical(const DistResult& dist,
                                 const QueryResult& want) {
-    ASSERT_EQ(dist.status, DistStatus::kOk) << dist.detail;
+    ASSERT_TRUE(dist.ok()) << dist.status.ToString();
     ASSERT_EQ(dist.num_groups, want.num_groups);
     const Segments& groups = want.sort_profile.groups;
     ASSERT_EQ(groups.count(), want.num_groups);
@@ -571,7 +571,7 @@ TEST_F(DistEndToEndTest, OrderByBitIdenticalToSingleNode) {
   StartCluster(options);
 
   const DistResult dist = coordinator_->Execute(OrderSpec());
-  ASSERT_EQ(dist.status, DistStatus::kOk) << dist.detail;
+  ASSERT_TRUE(dist.ok()) << dist.status.ToString();
   const QueryResult want = Reference(OrderSpec());
   // Shards carry the partitioner's __goid, so the merged oids are global
   // pre-shard row ids — directly comparable to the unsharded run.
@@ -596,7 +596,7 @@ TEST_F(DistEndToEndTest, SnapshotReloadedShardsStayBitIdentical) {
   shard_tables_.clear();
   for (const std::string& dir : disk.shard_dirs) {
     Table loaded;
-    const IoStatus st = LoadTableSnapshot(dir, SnapshotLoadOptions{}, &loaded);
+    const Status st = LoadTableSnapshot(dir, SnapshotLoadOptions{}, &loaded);
     ASSERT_TRUE(st.ok()) << st.ToString();
     shard_tables_.push_back(std::move(loaded));
   }
@@ -615,7 +615,7 @@ TEST_F(DistEndToEndTest, SnapshotReloadedShardsStayBitIdentical) {
   ExpectGroupsBitIdentical(coordinator_->Execute(GroupSpec()),
                            Reference(GroupSpec()));
   const DistResult order = coordinator_->Execute(OrderSpec());
-  ASSERT_EQ(order.status, DistStatus::kOk) << order.detail;
+  ASSERT_TRUE(order.ok()) << order.status.ToString();
   EXPECT_EQ(order.result_oids, Reference(OrderSpec()).result_oids);
 
   std::string cmd = std::string("rm -rf ") + root;
@@ -668,6 +668,7 @@ TEST_F(DistEndToEndTest, ShardFailsWhenEveryEndpointIsDead) {
   CoordinatorOptions coord_options;
   coord_options.retry_backoff_seconds = 0.005;
   coord_options.max_attempts_per_shard = 2;
+  coord_options.metrics = &metrics_;
   auto coordinator = std::make_unique<McsortCoordinator>(coord_options);
   ShardSpec s0;
   s0.endpoints.push_back({"127.0.0.1", servers_[0]->port()});
@@ -679,14 +680,22 @@ TEST_F(DistEndToEndTest, ShardFailsWhenEveryEndpointIsDead) {
   coordinator->AddShard(std::move(s1));
 
   const DistResult dist = coordinator->Execute(GroupSpec());
-  EXPECT_EQ(dist.status, DistStatus::kShardFailed);
+  // Shard 1 never answered: kUnavailable, naming the shard and its last
+  // connect failure; shard 0's call succeeded.
+  EXPECT_EQ(dist.status.code, StatusCode::kUnavailable);
+  EXPECT_EQ(dist.status.detail.rfind("shard 1: unavailable: connect ", 0), 0u)
+      << dist.status.detail;
+  EXPECT_TRUE(dist.shards[0].status.ok());
+  EXPECT_EQ(dist.shards[1].status.code, StatusCode::kUnavailable);
   EXPECT_EQ(dist.shards[1].endpoint_used, -1);
   EXPECT_EQ(dist.shards[1].attempts, 2);
+  EXPECT_EQ(metrics_.counter("dist.query_error.unavailable")->value(), 1u);
 }
 
 TEST_F(DistEndToEndTest, ValidationRejectsWindowAndEmptyCluster) {
   McsortCoordinator empty;
-  EXPECT_EQ(empty.Execute(GroupSpec()).status, DistStatus::kNoShards);
+  EXPECT_EQ(empty.Execute(GroupSpec()).status.code,
+            StatusCode::kFailedPrecondition);
 
   PartitionOptions options;
   options.num_shards = 2;
@@ -695,7 +704,23 @@ TEST_F(DistEndToEndTest, ValidationRejectsWindowAndEmptyCluster) {
                                .PartitionBy({"a"})
                                .WindowOrder("m")
                                .Build();
-  EXPECT_EQ(coordinator_->Execute(window).status, DistStatus::kUnsupported);
+  EXPECT_EQ(coordinator_->Execute(window).status.code,
+            StatusCode::kUnimplemented);
+  EXPECT_EQ(metrics_.counter("dist.query_error.unimplemented")->value(), 1u);
+
+  // A shard's semantic rejection keeps its own code (no replica retry):
+  // an unknown table is kNotFound end to end.
+  CoordinatorOptions coord_options;
+  coord_options.metrics = &metrics_;
+  McsortCoordinator misnamed(coord_options);
+  ShardSpec spec;
+  spec.endpoints.push_back({"127.0.0.1", servers_[0]->port()});
+  spec.table = "no_such_table";
+  misnamed.AddShard(std::move(spec));
+  const DistResult dist = misnamed.Execute(GroupSpec());
+  EXPECT_EQ(dist.status.code, StatusCode::kNotFound) << dist.status.ToString();
+  EXPECT_EQ(dist.shards[0].attempts, 1);
+  EXPECT_EQ(metrics_.counter("dist.query_error.not_found")->value(), 1u);
 }
 
 // Cancellation and deadlines against a deliberately large table so shard
@@ -747,8 +772,9 @@ TEST_F(DistRobustnessTest, CancelMidFanOutUnwindsBounded) {
   canceller.join();
   // Either the cancel landed mid-flight (typed kCancelled) or the cluster
   // outran the 20 ms fuse; both must return promptly.
-  if (dist.status != DistStatus::kOk) {
-    EXPECT_EQ(dist.status, DistStatus::kCancelled) << dist.detail;
+  if (!dist.ok()) {
+    EXPECT_EQ(dist.status.code, StatusCode::kCancelled)
+        << dist.status.ToString();
   }
   EXPECT_LT(seconds, 30.0);  // sanitizer headroom; plain builds ~100x faster
 }
@@ -762,8 +788,9 @@ TEST_F(DistRobustnessTest, DeadlineExpiresAcrossTheFanOut) {
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  if (dist.status != DistStatus::kOk) {
-    EXPECT_EQ(dist.status, DistStatus::kDeadlineExceeded) << dist.detail;
+  if (!dist.ok()) {
+    EXPECT_EQ(dist.status.code, StatusCode::kDeadlineExceeded)
+        << dist.status.ToString();
   }
   EXPECT_LT(seconds, 30.0);
 }

@@ -37,7 +37,7 @@ namespace {
 TEST(ExecContextTest, DefaultContextIsNeverStoppable) {
   const ExecContext& ctx = ExecContext::Default();
   EXPECT_FALSE(ctx.stoppable());
-  EXPECT_EQ(ctx.StopCheck(), ExecCode::kOk);
+  EXPECT_EQ(ctx.StopCheck(), StatusCode::kOk);
   EXPECT_TRUE(ctx.CheckRound().ok());
 }
 
@@ -49,8 +49,8 @@ TEST(ExecContextTest, CancellationTokenPropagatesAcrossCopies) {
   EXPECT_TRUE(copy.stoppable());
   EXPECT_FALSE(copy.StopRequested());
   source.Cancel();
-  EXPECT_EQ(copy.StopCheck(), ExecCode::kCancelled);
-  EXPECT_EQ(ctx.StopCheck(), ExecCode::kCancelled);
+  EXPECT_EQ(copy.StopCheck(), StatusCode::kCancelled);
+  EXPECT_EQ(ctx.StopCheck(), StatusCode::kCancelled);
 }
 
 TEST(ExecContextTest, DeadlineExpires) {
@@ -58,7 +58,7 @@ TEST(ExecContextTest, DeadlineExpires) {
   ctx.WithDeadlineAfter(1e-4);
   EXPECT_TRUE(ctx.stoppable());
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  EXPECT_EQ(ctx.StopCheck(), ExecCode::kDeadlineExceeded);
+  EXPECT_EQ(ctx.StopCheck(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(FaultInjectorTest, ParsesSpecStrings) {
@@ -101,14 +101,14 @@ TEST(ExecContextTest, CheckRoundArmsInjectedFaultForStopCheck) {
   FaultInjector injector(FaultInjector::Kind::kAlloc, 1);
   ExecContext ctx;
   ctx.WithFault(&injector);
-  const ExecStatus status = ctx.CheckRound();
-  EXPECT_EQ(status.code, ExecCode::kResourceExhausted);
+  const Status status = ctx.CheckRound();
+  EXPECT_EQ(status.code, StatusCode::kResourceExhausted);
   // Once armed, the cheap morsel-boundary check sees it too.
-  EXPECT_EQ(ctx.StopCheck(), ExecCode::kResourceExhausted);
+  EXPECT_EQ(ctx.StopCheck(), StatusCode::kResourceExhausted);
   // Degradation consumes it exactly once.
   EXPECT_TRUE(ctx.ClearResourceFault());
   EXPECT_FALSE(ctx.ClearResourceFault());
-  EXPECT_EQ(ctx.StopCheck(), ExecCode::kOk);
+  EXPECT_EQ(ctx.StopCheck(), StatusCode::kOk);
 }
 
 // --------------------------------------------------------------------------
@@ -168,7 +168,7 @@ TEST(CancellationTest, CancelFromSecondThreadStopsInFlightSortBounded) {
     // nothing to assert about unwinding, but the result must be complete.
     EXPECT_EQ(run.result.result_oids.size(), n);
   } else {
-    EXPECT_EQ(run.status.code, ExecCode::kCancelled);
+    EXPECT_EQ(run.status.code, StatusCode::kCancelled);
     // TSan on a 1-core container unwinds in ~2.5-3s while the full sort
     // takes ~7.5s, so 5.0 still separates morsel-bounded unwinding from
     // running the sort to completion.
@@ -190,7 +190,7 @@ TEST(CancellationTest, AlreadyCancelledContextReturnsImmediately) {
   Timer timer;
   const ExecResult run = executor.Execute(FourColumnOrderBy(), ctx);
   EXPECT_FALSE(run.ok());
-  EXPECT_EQ(run.status.code, ExecCode::kCancelled);
+  EXPECT_EQ(run.status.code, StatusCode::kCancelled);
   EXPECT_LT(timer.Seconds(), 1.0);
 }
 
@@ -205,7 +205,7 @@ TEST(CancellationTest, DeadlineExpiryDuringSegmentSorting) {
   ctx.WithDeadlineAfter(0.02);  // expires while the sort is in flight
   const ExecResult run = executor.Execute(FourColumnOrderBy(), ctx);
   if (!run.ok()) {
-    EXPECT_EQ(run.status.code, ExecCode::kDeadlineExceeded);
+    EXPECT_EQ(run.status.code, StatusCode::kDeadlineExceeded);
   }
   // Either way the executor returned instead of hanging; a second query
   // with a fresh context still works (no poisoned shared state).
@@ -232,7 +232,7 @@ TEST(CancellationTest, SortSegmentsStopsBetweenMorsels) {
   ctx.WithToken(source.token());
   const MultiColumnSortResult result =
       sorter.Sort(inputs, MassagePlan::ColumnAtATime({20}), ctx);
-  EXPECT_EQ(result.status.code, ExecCode::kCancelled);
+  EXPECT_EQ(result.status.code, StatusCode::kCancelled);
 }
 
 TEST(CancellationTest, RogaSearchReturnsBestSoFarOnStop) {
@@ -283,7 +283,7 @@ TEST(CancellationTest, PipelineInterpreterStopsAtInstructionBoundary) {
   ctx.WithToken(source.token());
   const MultiColumnSortResult result =
       ExecutePipeline(pipeline, inputs, nullptr, ctx);
-  EXPECT_EQ(result.status.code, ExecCode::kCancelled);
+  EXPECT_EQ(result.status.code, StatusCode::kCancelled);
 }
 
 // --------------------------------------------------------------------------
@@ -396,7 +396,7 @@ TEST(DegradationTest, UnsatisfiableBudgetFailsWithResourceExhausted) {
   ctx.WithScratchBudget(1);  // nothing fits: even the narrowest plan fails
   const ExecResult run = executor.Execute(FourColumnOrderBy(), ctx);
   EXPECT_FALSE(run.ok());
-  EXPECT_EQ(run.status.code, ExecCode::kResourceExhausted);
+  EXPECT_EQ(run.status.code, StatusCode::kResourceExhausted);
 }
 
 TEST(FaultInjectionTest, InjectedCancelUnwindsWholeServiceStack) {
@@ -414,7 +414,7 @@ TEST(FaultInjectionTest, InjectedCancelUnwindsWholeServiceStack) {
   ctx.WithFault(&injector);
   const ExecResult run = session->Execute(FourColumnOrderBy(), ctx);
   EXPECT_FALSE(run.ok());
-  EXPECT_EQ(run.status.code, ExecCode::kCancelled);
+  EXPECT_EQ(run.status.code, StatusCode::kCancelled);
   EXPECT_EQ(service.admission().GetStats().inflight, 0);
   EXPECT_EQ(service.metrics().counter("exec.cancelled")->value(), 1u);
 
@@ -433,7 +433,7 @@ TEST(FaultInjectionTest, InjectedDeadlineSurfacesTypedStatus) {
   ctx.WithFault(&injector);
   const ExecResult run = executor.Execute(FourColumnOrderBy(), ctx);
   EXPECT_FALSE(run.ok());
-  EXPECT_EQ(run.status.code, ExecCode::kDeadlineExceeded);
+  EXPECT_EQ(run.status.code, StatusCode::kDeadlineExceeded);
 }
 
 // Driven by the CI fault matrix: when MCSORT_FAULT is set in the
@@ -460,10 +460,10 @@ TEST(FaultInjectionTest, EnvDrivenFaultMatrix) {
   const ExecResult run = executor.Execute(FourColumnOrderBy(), ctx);
   switch (injector.kind()) {
     case FaultInjector::Kind::kCancel:
-      EXPECT_EQ(run.status.code, ExecCode::kCancelled);
+      EXPECT_EQ(run.status.code, StatusCode::kCancelled);
       break;
     case FaultInjector::Kind::kDeadline:
-      EXPECT_EQ(run.status.code, ExecCode::kDeadlineExceeded);
+      EXPECT_EQ(run.status.code, StatusCode::kDeadlineExceeded);
       break;
     case FaultInjector::Kind::kAlloc:
       // Absorbed by degradation when it fires at a round boundary of the

@@ -8,7 +8,7 @@
 //   * spilled output is bit-identical to the in-memory path (exact oid
 //     sequence and group bounds, not just Lemma-1 equivalence);
 //   * a cancelled or failed spill leaves zero files in the spill dir;
-//   * a corrupt run file is a typed kCorrupt/kDataLoss, never wrong rows.
+//   * a corrupt run file is a typed kDataLoss, never wrong rows.
 #include "mcsort/sort/external/external_sort.h"
 
 #include <dirent.h>
@@ -121,10 +121,11 @@ TEST(RunFileTest, CorruptBlockIsTypedCorrupt) {
   RunReader reader;
   ASSERT_TRUE(reader.Open(path).ok());  // directory + tail are untouched
   RunBlock block;
-  const IoStatus st = reader.ReadBlock(0, &block);
-  EXPECT_EQ(st.code, IoCode::kCorrupt);
-  // The unified mapping the executor reports: CRC damage is data loss.
-  EXPECT_EQ(st.ToStatus().code, StatusCode::kDataLoss);
+  const Status st = reader.ReadBlock(0, &block);
+  // CRC damage is data loss, and the detail names the defect.
+  EXPECT_EQ(st.code, StatusCode::kDataLoss);
+  EXPECT_NE(st.detail.find("run block checksum mismatch"), std::string::npos)
+      << st.detail;
   // The other blocks are unaffected.
   EXPECT_TRUE(reader.ReadBlock(1, &block).ok());
 }
@@ -146,13 +147,19 @@ TEST(RunFileTest, TruncationAndBadMagicRejected) {
     ASSERT_EQ(std::fwrite(&zero, sizeof(zero), 1, f), 1u);
     std::fclose(f);
     RunReader reader;
-    EXPECT_EQ(reader.Open(path).code, IoCode::kBadMagic);
+    const Status st = reader.Open(path);
+    EXPECT_EQ(st.code, StatusCode::kInvalidArgument);
+    EXPECT_NE(st.detail.find("not a run file"), std::string::npos)
+        << st.detail;
   }
-  // Truncate below the minimum preamble+tail size: typed kCorrupt.
+  // Truncate below the minimum preamble+tail size: typed kDataLoss.
   {
     ASSERT_EQ(::truncate(path.c_str(), external::kRunPageBytes / 2), 0);
     RunReader reader;
-    EXPECT_EQ(reader.Open(path).code, IoCode::kCorrupt);
+    const Status st = reader.Open(path);
+    EXPECT_EQ(st.code, StatusCode::kDataLoss);
+    EXPECT_NE(st.detail.find("run file truncated"), std::string::npos)
+        << st.detail;
   }
 }
 
@@ -451,7 +458,7 @@ TEST(ExecutorSpillTest, SpilledResultBitIdenticalToInMemory) {
   ExecContext ctx;
   ctx.WithScratchBudget(full_bytes / 8);  // acceptance point: 1/8 budget
   const ExecResult run = executor.Execute(spec, ctx);
-  ASSERT_TRUE(run.ok()) << run.ToStatus().ToString();
+  ASSERT_TRUE(run.ok()) << run.status.ToString();
   EXPECT_TRUE(run.result.spilled);
   EXPECT_FALSE(run.result.degraded);
   EXPECT_GE(run.result.spill_runs, 8u);
@@ -490,7 +497,7 @@ TEST(ExecutorSpillTest, BankFloorPlanSpillsInsteadOfFailing) {
       QueryExecutor::EstimatePlanScratchBytes(floor_plan, n) / 4);
 
   const ExecResult run = executor.Execute(spec, ctx);
-  ASSERT_TRUE(run.ok()) << run.ToStatus().ToString();
+  ASSERT_TRUE(run.ok()) << run.status.ToString();
   EXPECT_TRUE(run.result.spilled);
   EXPECT_FALSE(run.result.degraded);
   ExpectValueIdentical(run.result.result_oids, run.result.sort_profile.groups,
@@ -529,7 +536,7 @@ TEST(ExecutorSpillTest, RouterPrefersDegradeWhenSpillExpensive) {
   ctx.WithScratchBudget((capped_bytes + wide_bytes) / 2);
 
   const ExecResult run = executor.Execute(spec, ctx);
-  ASSERT_TRUE(run.ok()) << run.ToStatus().ToString();
+  ASSERT_TRUE(run.ok()) << run.status.ToString();
   EXPECT_TRUE(run.result.degraded);
   EXPECT_FALSE(run.result.spilled);
   EXPECT_EQ(run.result.spill_runs, 0u);
@@ -552,8 +559,7 @@ TEST(ExecutorSpillTest, SpillDisabledFallsBackToResourceExhausted) {
       QueryExecutor::EstimatePlanScratchBytes(baseline.result.plan, n) / 8);
   const ExecResult run = executor.Execute(SpillOrderBy(), ctx);
   EXPECT_FALSE(run.ok());
-  EXPECT_EQ(run.status.code, ExecCode::kResourceExhausted);
-  EXPECT_EQ(run.ToStatus().code, StatusCode::kResourceExhausted);
+  EXPECT_EQ(run.status.code, StatusCode::kResourceExhausted);
 }
 
 TEST(ExecutorSpillTest, SpillCyclesScalesWithVolumeAndParams) {
@@ -596,7 +602,7 @@ TEST(ServiceSpillTest, SpillRecordedInServiceMetrics) {
   ctx.WithScratchBudget(
       QueryExecutor::EstimatePlanScratchBytes(baseline.result.plan, n) / 8);
   const ExecResult run = session->Execute(spec, ctx);
-  ASSERT_TRUE(run.ok()) << run.ToStatus().ToString();
+  ASSERT_TRUE(run.ok()) << run.status.ToString();
   EXPECT_TRUE(run.result.spilled);
   EXPECT_EQ(service.metrics().counter("exec.spill.queries")->value(), 1u);
   EXPECT_EQ(service.metrics().counter("exec.spill.runs")->value(),

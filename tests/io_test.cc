@@ -6,7 +6,7 @@
 // original as far as the engine can observe, i.e. a multi-column sort over
 // columns of all three banks (16/32/64-bit) yields the same oid
 // permutation and the same group boundaries. Corruption anywhere (manifest
-// or any section) must surface as a typed IoStatus, never a crash.
+// or any section) must surface as a typed Status, never a crash.
 #include "mcsort/io/snapshot.h"
 
 #include <unistd.h>
@@ -127,7 +127,7 @@ TEST(SnapshotTest, RoundTripAllBanksBothLoadPaths) {
     SnapshotLoadOptions load;
     load.mode = mode;
     Table loaded;
-    const IoStatus st = Table::LoadSnapshot(dir, load, &loaded);
+    const Status st = Table::LoadSnapshot(dir, load, &loaded);
     ASSERT_TRUE(st.ok()) << st.ToString();
     ExpectTablesEquivalent(original, loaded);
     EXPECT_EQ(loaded.column("w12").is_view(),
@@ -147,7 +147,6 @@ TEST(SnapshotTest, PreservesCachedStatsAndAuxLayouts) {
   // Force the lazy caches so the snapshot carries them.
   const ColumnStats& want_stats = original.stats("w24");
   (void)original.byteslice("w24");
-  (void)original.bitweaving("w12");
   const std::string dir = tmp.path() + "/t";
   ASSERT_TRUE(original.SaveSnapshot(dir).ok());
 
@@ -163,8 +162,6 @@ TEST(SnapshotTest, PreservesCachedStatsAndAuxLayouts) {
   // Aux layouts answer identically after a reload.
   EXPECT_EQ(original.byteslice("w24").num_slices(),
             loaded.byteslice("w24").num_slices());
-  EXPECT_EQ(original.bitweaving("w12").width(),
-            loaded.bitweaving("w12").width());
 }
 
 TEST(SnapshotTest, DictionaryRoundTripsNonAscii) {
@@ -210,9 +207,11 @@ TEST(SnapshotTest, CorruptedSectionIsTypedError) {
     SnapshotLoadOptions load;
     load.mode = mode;
     Table loaded;
-    const IoStatus st = Table::LoadSnapshot(dir, load, &loaded);
-    EXPECT_FALSE(st.ok());
-    EXPECT_EQ(st.code, IoCode::kCorrupt) << st.ToString();
+    const Status st = Table::LoadSnapshot(dir, load, &loaded);
+    EXPECT_EQ(st.code, StatusCode::kDataLoss) << st.ToString();
+    EXPECT_NE(st.detail.find("section 1 checksum mismatch"),
+              std::string::npos)
+        << st.detail;
   }
 }
 
@@ -231,29 +230,44 @@ TEST(SnapshotTest, CorruptedManifestIsTypedError) {
     f.write(&junk, 1);
   }
   Table loaded;
-  const IoStatus st = Table::LoadSnapshot(dir, {}, &loaded);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code, IoCode::kCorrupt) << st.ToString();
+  const Status st = Table::LoadSnapshot(dir, {}, &loaded);
+  EXPECT_EQ(st.code, StatusCode::kDataLoss) << st.ToString();
+  EXPECT_NE(st.detail.find("manifest checksum mismatch"), std::string::npos)
+      << st.detail;
 }
 
-TEST(SnapshotTest, BadMagicAndMissingDirAreTypedErrors) {
+TEST(SnapshotTest, BadMagicVersionAndMissingDirAreTypedErrors) {
   TempDir tmp;
   Table loaded;
-  IoStatus st = Table::LoadSnapshot(tmp.path() + "/nope", {}, &loaded);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code, IoCode::kIoError);
+  Status st = Table::LoadSnapshot(tmp.path() + "/nope", {}, &loaded);
+  EXPECT_EQ(st.code, StatusCode::kUnavailable);
+  EXPECT_EQ(st.detail.rfind("open ", 0), 0u) << st.detail;
 
   // A checksum-valid manifest whose magic is wrong: the CRC gate passes,
-  // the magic gate must answer kBadMagic.
+  // the magic gate must answer.
   const std::string dir = tmp.path() + "/junk";
   ASSERT_EQ(std::system(("mkdir -p '" + dir + "'").c_str()), 0);
-  std::string body(40, '\x7E');  // != "MCSS"
-  const uint32_t crc = net::Crc32c(body.data(), body.size());
-  body.append(reinterpret_cast<const char*>(&crc), 4);
-  WriteFile(dir + "/" + kSnapshotManifestFile, body);
+  const auto write_manifest = [&](std::string body) {
+    const uint32_t crc = net::Crc32c(body.data(), body.size());
+    body.append(reinterpret_cast<const char*>(&crc), 4);
+    WriteFile(dir + "/" + kSnapshotManifestFile, body);
+  };
+  write_manifest(std::string(40, '\x7E'));  // != "MCSS"
   st = Table::LoadSnapshot(dir, {}, &loaded);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code, IoCode::kBadMagic);
+  EXPECT_EQ(st.code, StatusCode::kInvalidArgument);
+  EXPECT_NE(st.detail.find("not a snapshot manifest"), std::string::npos)
+      << st.detail;
+
+  // A version-1 manifest (the format that still carried BitWeaving planes)
+  // is refused by the version gate.
+  std::string old_version(40, '\0');
+  const uint32_t header[2] = {kSnapshotManifestMagic, 1};
+  std::memcpy(old_version.data(), header, sizeof(header));
+  write_manifest(old_version);
+  st = Table::LoadSnapshot(dir, {}, &loaded);
+  EXPECT_EQ(st.code, StatusCode::kFailedPrecondition);
+  EXPECT_NE(st.detail.find("snapshot version 1 (want 2)"), std::string::npos)
+      << st.detail;
 }
 
 TEST(SnapshotTest, ListSnapshotTablesSortedAndExists) {
@@ -285,7 +299,7 @@ TEST(CsvIngestTest, InfersTypesAndEncodes) {
             "3,10.00,chicago\n");
   Table table;
   CsvIngestStats stats;
-  const IoStatus st = IngestCsv(csv, {}, &table, &stats);
+  const Status st = IngestCsv(csv, {}, &table, &stats);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(stats.rows, 4u);
   EXPECT_EQ(stats.columns, 3);
@@ -312,9 +326,9 @@ TEST(CsvIngestTest, RaggedRowIsTypedError) {
   const std::string csv = tmp.path() + "/bad.csv";
   WriteFile(csv, "a,b\n1,2\n3\n");
   Table table;
-  const IoStatus st = IngestCsv(csv, {}, &table);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code, IoCode::kBadFormat);
+  const Status st = IngestCsv(csv, {}, &table);
+  EXPECT_EQ(st.code, StatusCode::kInvalidArgument);
+  EXPECT_NE(st.detail.find(" row 3: "), std::string::npos) << st.detail;
 }
 
 TEST(CsvIngestTest, ExplicitSchemaOverridesInference) {
@@ -324,7 +338,7 @@ TEST(CsvIngestTest, ExplicitSchemaOverridesInference) {
   CsvIngestOptions options;
   options.schema = {{"key", CsvType::kString}, {"val", CsvType::kInt}};
   Table table;
-  const IoStatus st = IngestCsv(csv, options, &table);
+  const Status st = IngestCsv(csv, options, &table);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_TRUE(table.HasColumn("key"));
   EXPECT_TRUE(table.HasDictionary("key"));  // forced string

@@ -501,7 +501,7 @@ TEST_F(NetServerTest, GroupByQueryMatchesInProcessExecution) {
 
   auto client = Connect();
   const RemoteResult remote = client->Query(spec);
-  ASSERT_TRUE(remote.ok()) << remote.error_detail;
+  ASSERT_TRUE(remote.ok()) << remote.status.ToString();
 
   auto session = service_->OpenSession(table_);
   const ExecResult local = session->Execute(spec, ExecContext::Default());
@@ -523,7 +523,7 @@ TEST_F(NetServerTest, OrderByQueryReturnsSortedOids) {
                              .Build();
   auto client = Connect();
   const RemoteResult remote = client->Query(spec);
-  ASSERT_TRUE(remote.ok()) << remote.error_detail;
+  ASSERT_TRUE(remote.ok()) << remote.status.ToString();
   ASSERT_EQ(remote.result_oids.size(), remote.summary.filtered_rows);
   ASSERT_GT(remote.result_oids.size(), 0u);
 
@@ -547,7 +547,7 @@ TEST_F(NetServerTest, WindowQueryReturnsRanks) {
                              .Build();
   auto client = Connect();
   const RemoteResult remote = client->Query(spec);
-  ASSERT_TRUE(remote.ok()) << remote.error_detail;
+  ASSERT_TRUE(remote.ok()) << remote.status.ToString();
   EXPECT_EQ(remote.ranks.size(), remote.summary.filtered_rows);
   EXPECT_GT(remote.summary.num_groups, 0u);
 }
@@ -587,7 +587,7 @@ TEST_F(NetServerTest, MalformedFrameCorpusGetsTypedErrors) {
   auto client = Connect();
   const RemoteResult after =
       client->Query(QuerySpecBuilder().GroupBy({"a"}).Count().Build());
-  ASSERT_TRUE(after.ok()) << after.error_detail;
+  ASSERT_TRUE(after.ok()) << after.status.ToString();
   EXPECT_EQ(after.summary.num_groups, 20u);
 }
 
@@ -708,14 +708,14 @@ TEST_F(NetRobustnessTest, WireCancelAbortsRunningSortBounded) {
   runner.join();
   const double latency = timer.Seconds();
 
-  ASSERT_TRUE(result.transport_ok) << result.error_detail;
+  ASSERT_TRUE(result.transport_ok) << result.status.ToString();
   if (result.error == ErrorCode::kNone) {
     // The sort beat the cancel — acceptable on a fast machine, but then
     // the payload must be complete.
     EXPECT_EQ(result.result_oids.size(), kBigRows);
   } else {
     EXPECT_EQ(result.error, ErrorCode::kCancelled);
-    EXPECT_EQ(result.status.code, ExecCode::kCancelled);
+    EXPECT_EQ(result.status.code, StatusCode::kCancelled);
     // Unwind latency is bounded by morsel granularity, not sort size.
     EXPECT_LT(latency, 10.0);
   }
@@ -737,12 +737,12 @@ TEST_F(NetRobustnessTest, QueryDeadlineExpiresMidSort) {
   QueryCallOptions call;
   call.deadline_seconds = 0.02;  // expires while the 4M-row sort runs
   const RemoteResult result = client.Query(SlowSpec(), call);
-  ASSERT_TRUE(result.transport_ok) << result.error_detail;
+  ASSERT_TRUE(result.transport_ok) << result.status.ToString();
   if (result.error == ErrorCode::kNone) {
     EXPECT_EQ(result.result_oids.size(), kBigRows);  // ok on a fast machine
   } else {
     EXPECT_EQ(result.error, ErrorCode::kDeadlineExceeded);
-    EXPECT_EQ(result.status.code, ExecCode::kDeadlineExceeded);
+    EXPECT_EQ(result.status.code, StatusCode::kDeadlineExceeded);
   }
 }
 
@@ -823,6 +823,153 @@ TEST_F(NetRobustnessTest, GracefulDrainFinishesInFlightQueries) {
   // New connections are refused outright once draining.
   McsortClient late(client_options);
   EXPECT_FALSE(late.Connect());
+}
+
+// --------------------------------------------------------------------------
+// In-process and wire outcomes agree: a QUERY's ERROR carries the wire
+// image (ToErrorCode) of the very Status the same execution returns in
+// process, and the client maps it back to the same StatusCode.
+// --------------------------------------------------------------------------
+
+class OutcomeAgreementTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kRows = 60'000;
+
+  static QuerySpec Spec() {
+    return QuerySpecBuilder().OrderBy("a").OrderBy("b").OrderBy("c").Build();
+  }
+
+  // Serves the test table with a scratch budget of 1/`budget_divisor` of
+  // the unrestricted plan's estimate (0 = no budget). The spill arm, when
+  // enabled, points at a directory that cannot be created.
+  void Serve(bool spill, size_t budget_divisor) {
+    table_ = TestTable(kRows);
+    ServiceOptions service_options;
+    service_options.threads = 2;
+    service_options.spill.enabled = spill;
+    service_options.spill.dir = "/dev/null/mcsort-spill";
+    // Price every sub-64-bit sort out, so the over-budget router spills
+    // on the first attempt instead of degrading to a narrower plan.
+    CostParams& params = service_options.params;
+    for (BankSortParams* bank : {&params.bank16, &params.bank32}) {
+      bank->sort_network = 1e6;
+    }
+    for (OvcSortParams* ovc : {&params.ovc16, &params.ovc32}) {
+      ovc->run_form = 1e6;
+    }
+    params.counting.row_cache = params.counting.row_mem = 1e6;
+    service_ = std::make_unique<QueryService>(service_options);
+    service_->RegisterTable("t", table_);
+    if (budget_divisor > 0) {
+      const ExecResult full = Local(ExecContext());
+      ASSERT_TRUE(full.ok()) << full.status.ToString();
+      budget_ = std::max<size_t>(
+          1, QueryExecutor::EstimatePlanScratchBytes(full.result.plan, kRows) /
+                 budget_divisor);
+    }
+    ServerOptions options;
+    options.port = 0;
+    options.scratch_budget_bytes = budget_;
+    server_ = std::make_unique<McsortServer>(service_.get(), options);
+    std::string error;
+    ASSERT_TRUE(server_->Start(&error)) << error;
+  }
+
+  void TearDown() override {
+    if (server_ != nullptr) server_->Shutdown();
+  }
+
+  ExecResult Local(ExecContext ctx) {
+    if (budget_ > 0) ctx.WithScratchBudget(budget_);
+    return service_->OpenSession(table_)->Execute(Spec(), ctx);
+  }
+
+  RemoteResult Remote(const QueryCallOptions& call = {}) {
+    ClientOptions options;
+    options.port = server_->port();
+    options.io_timeout_seconds = 60;
+    McsortClient client(options);
+    EXPECT_TRUE(client.Connect());
+    return client.Query(Spec(), call);
+  }
+
+  static void ExpectAgree(const ExecResult& local, const RemoteResult& remote) {
+    ASSERT_TRUE(remote.transport_ok) << remote.status.ToString();
+    EXPECT_EQ(remote.error, ToErrorCode(local.status))
+        << "wire " << ErrorCodeName(remote.error) << " vs in-process "
+        << local.status.ToString();
+    EXPECT_EQ(remote.status.code, local.status.code)
+        << remote.status.ToString() << " vs " << local.status.ToString();
+  }
+
+  Table table_;
+  size_t budget_ = 0;
+  std::unique_ptr<QueryService> service_;
+  std::unique_ptr<McsortServer> server_;
+};
+
+TEST_F(OutcomeAgreementTest, SpillIoFailureIsIoErrorOnBothSides) {
+  Serve(/*spill=*/true, /*budget_divisor=*/8);
+  const ExecResult local = Local(ExecContext());
+  EXPECT_EQ(local.status.code, StatusCode::kUnavailable)
+      << local.status.ToString();
+  EXPECT_TRUE(local.result.spilled);
+  // A disk failure is not a budget miss: no degraded re-plan.
+  EXPECT_FALSE(local.result.degraded);
+
+  const RemoteResult remote = Remote();
+  EXPECT_EQ(remote.error, ErrorCode::kIoError);
+  ExpectAgree(local, remote);
+}
+
+TEST_F(OutcomeAgreementTest, BudgetRefusalMatchesOnBothSides) {
+  Serve(/*spill=*/false, /*budget_divisor=*/size_t{1} << 30);
+  const ExecResult local = Local(ExecContext());
+  EXPECT_EQ(local.status.code, StatusCode::kResourceExhausted)
+      << local.status.ToString();
+  const RemoteResult remote = Remote();
+  EXPECT_EQ(remote.error, ErrorCode::kResourceExhausted);
+  ExpectAgree(local, remote);
+}
+
+TEST_F(OutcomeAgreementTest, CancelAndDeadlineMatchOnBothSides) {
+  Serve(/*spill=*/false, /*budget_divisor=*/0);
+
+  ExecContext expired;
+  expired.WithDeadline(std::chrono::steady_clock::now());
+  const ExecResult local_deadline = Local(expired);
+  EXPECT_EQ(local_deadline.status.code, StatusCode::kDeadlineExceeded);
+  QueryCallOptions call;
+  call.deadline_seconds = 1e-6;  // expired by the time the worker runs
+  ExpectAgree(local_deadline, Remote(call));
+
+  CancellationSource cancel;
+  cancel.Cancel();
+  ExecContext cancelled;
+  cancelled.WithToken(cancel.token());
+  const ExecResult local_cancel = Local(cancelled);
+  EXPECT_EQ(local_cancel.status.code, StatusCode::kCancelled);
+  // QUERY and CANCEL in one write: the event loop fires the cancel right
+  // after admitting the query. A sort that still wins the race answers a
+  // RESULT; an ERROR must be the cancel's wire image.
+  RawConn raw(server_->port());
+  ASSERT_TRUE(raw.ok());
+  ASSERT_TRUE(raw.Handshake());
+  QueryEnvelope envelope;
+  envelope.spec = Spec();
+  ASSERT_TRUE(raw.Send(
+      SealFrame(FrameType::kQuery, 0, 2, EncodeQuery(envelope)) +
+      SealFrame(FrameType::kCancel, 0, 2, std::string())));
+  Frame frame;
+  ASSERT_TRUE(raw.Recv(&frame));
+  if (frame.type() == FrameType::kError) {
+    ErrorInfo info;
+    ASSERT_TRUE(DecodeError(frame.payload, &info));
+    EXPECT_EQ(info.code, ToErrorCode(local_cancel.status));
+    EXPECT_EQ(ToStatus(info.code).code, local_cancel.status.code);
+  } else {
+    EXPECT_EQ(frame.type(), FrameType::kResult);
+  }
 }
 
 }  // namespace

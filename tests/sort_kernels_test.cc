@@ -259,7 +259,7 @@ TEST(SortKernelsParallelTest, CancellationMidRoundUnwinds) {
   plan.mutable_round(0)->kernel = SortKernel::kOvcMerge;
   plan.mutable_round(1)->kernel = SortKernel::kCounting;
   const auto result = sorter.Sort(inputs, plan, ctx);
-  EXPECT_EQ(result.status.code, ExecCode::kCancelled);
+  EXPECT_EQ(result.status.code, StatusCode::kCancelled);
 }
 
 TEST(KernelMaskTest, ParseKernelMask) {

@@ -1,26 +1,13 @@
-// Unified-status taxonomy tests (common/status.h): the conversion
-// contract each domain dialect promises — ExecStatus, IoStatus,
-// net::ClientStatus, dist::DistStatus, and the wire's ErrorCode all
-// convert through mcsort::Status such that
-//
-//   FromStatus(ToStatus(t)) == t          when t's distinction survives
-//   FromStatus(ToStatus(t)) == canonical  otherwise, where `canonical`
-//                                         is the fixed representative of
-//                                         t's equivalence class
-//
-// i.e. StatusCode is a quotient of every domain taxonomy, and a second
-// round-trip is always the identity (the mappings are idempotent).
+// mcsort::Status tests (common/status.h): code names, and the one status
+// conversion of the system — the wire's ErrorCode (net/wire.h) — whose
+// contract is idempotence: one ErrorCode -> Status -> ErrorCode trip may
+// move a code to its class representative, a second trip is the identity.
 #include "mcsort/common/status.h"
 
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "mcsort/common/exec_context.h"
-#include "mcsort/dist/dist_status.h"
-#include "mcsort/engine/query.h"
-#include "mcsort/io/io_status.h"
-#include "mcsort/net/client.h"
 #include "mcsort/net/wire.h"
 
 namespace mcsort {
@@ -50,71 +37,6 @@ TEST(StatusTest, BasicsAndNames) {
     for (size_t j = i + 1; j < names.size(); ++j) {
       EXPECT_NE(names[i], names[j]);
     }
-  }
-}
-
-TEST(StatusTest, ExecStatusRoundTrip) {
-  // All four executor codes survive the round-trip exactly.
-  for (const ExecCode code :
-       {ExecCode::kOk, ExecCode::kCancelled, ExecCode::kDeadlineExceeded,
-        ExecCode::kResourceExhausted}) {
-    ExecStatus exec;
-    exec.code = code;
-    EXPECT_EQ(ExecStatus::FromStatus(exec.ToStatus()).code, code);
-  }
-  // Codes outside the executor vocabulary quotient onto its two classes:
-  // budget-like failures onto kResourceExhausted (so the degradation loop
-  // still engages for spill IO failures), everything else onto kCancelled.
-  EXPECT_EQ(ExecStatus::FromStatus(Status::Unavailable("io")).code,
-            ExecCode::kResourceExhausted);
-  EXPECT_EQ(ExecStatus::FromStatus(Status::DataLoss("crc")).code,
-            ExecCode::kResourceExhausted);
-  EXPECT_EQ(ExecStatus::FromStatus(Status::Internal("bug")).code,
-            ExecCode::kCancelled);
-}
-
-TEST(StatusTest, IoStatusRoundTrip) {
-  // Distinct classes round-trip exactly...
-  for (const IoCode code : {IoCode::kOk, IoCode::kIoError, IoCode::kCorrupt,
-                            IoCode::kBadVersion, IoCode::kBadFormat}) {
-    const IoStatus io = code == IoCode::kOk
-                            ? IoStatus::Ok()
-                            : IoStatus::Error(code, "detail");
-    EXPECT_EQ(IoStatus::FromStatus(io.ToStatus()).code, code);
-  }
-  // ...kBadMagic shares kInvalidArgument with kBadFormat and lands on the
-  // class's canonical member, preserving the detail text.
-  const IoStatus magic = IoStatus::Error(IoCode::kBadMagic, "not a snapshot");
-  const IoStatus back = IoStatus::FromStatus(magic.ToStatus());
-  EXPECT_EQ(back.code, IoCode::kBadFormat);
-  EXPECT_EQ(back.message, "not a snapshot");
-
-  // The mapping the spill path depends on: corruption is data loss
-  // (retrying the same bytes cannot help), IO errors are transient.
-  EXPECT_EQ(IoStatus::Error(IoCode::kCorrupt, "").ToStatus().code,
-            StatusCode::kDataLoss);
-  EXPECT_EQ(IoStatus::Error(IoCode::kIoError, "").ToStatus().code,
-            StatusCode::kUnavailable);
-}
-
-TEST(StatusTest, ClientStatusRoundTrip) {
-  for (const net::ClientStatus status :
-       {net::ClientStatus::kOk, net::ClientStatus::kNotConnected,
-        net::ClientStatus::kTransportError, net::ClientStatus::kCallTimeout,
-        net::ClientStatus::kServerError}) {
-    EXPECT_EQ(net::ClientStatusFromStatus(net::ToStatus(status, "d")), status)
-        << net::ClientStatusName(status);
-  }
-}
-
-TEST(StatusTest, DistStatusRoundTrip) {
-  for (const dist::DistStatus status :
-       {dist::DistStatus::kOk, dist::DistStatus::kShardFailed,
-        dist::DistStatus::kCancelled, dist::DistStatus::kDeadlineExceeded,
-        dist::DistStatus::kBadQuery, dist::DistStatus::kUnsupported,
-        dist::DistStatus::kMergeError, dist::DistStatus::kNoShards}) {
-    EXPECT_EQ(dist::FromStatus(dist::ToStatus(status, "d")), status)
-        << dist::DistStatusName(status);
   }
 }
 
@@ -149,17 +71,6 @@ TEST(StatusTest, ErrorCodeQuotient) {
         net::ErrorCode::kIoError, net::ErrorCode::kInternal}) {
     EXPECT_EQ(net::ToErrorCode(net::ToStatus(code, "d")), code);
   }
-}
-
-TEST(StatusTest, ExecResultPrefersRichDetail) {
-  // ExecResult::ToStatus surfaces the preserved spill outcome instead of
-  // the lossy four-code executor projection.
-  ExecResult result;
-  result.status = ExecStatus::ResourceExhausted("over budget");
-  EXPECT_EQ(result.ToStatus().code, StatusCode::kResourceExhausted);
-  result.detail = Status::DataLoss("run file crc mismatch");
-  EXPECT_EQ(result.ToStatus().code, StatusCode::kDataLoss);
-  EXPECT_EQ(result.ToStatus().detail, "run file crc mismatch");
 }
 
 }  // namespace

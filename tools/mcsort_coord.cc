@@ -156,22 +156,21 @@ int main(int argc, char** argv) {
 
   for (const dist::ShardOutcome& o : result.shards) {
     std::printf(
-        "shard %d: endpoint=%d attempts=%d status=%s error=%s %llu elems "
-        "in %.3f s%s%s\n",
-        o.shard, o.endpoint_used, o.attempts,
-        net::ClientStatusName(o.client_status), net::ErrorCodeName(o.error),
+        "shard %d: endpoint=%d attempts=%d status=%s %llu elems in %.3f "
+        "s%s%s\n",
+        o.shard, o.endpoint_used, o.attempts, o.status.name(),
         static_cast<unsigned long long>(o.elements), o.seconds,
-        o.detail.empty() ? "" : " -- ", o.detail.c_str());
+        o.status.detail.empty() ? "" : " -- ", o.status.detail.c_str());
   }
   std::printf("dist status=%s fanout=%.3f s merge=%.3f s emitted=%llu "
               "full_compares=%llu\n",
-              dist::DistStatusName(result.status), result.fanout_seconds,
+              result.status.name(), result.fanout_seconds,
               result.merge_seconds,
               static_cast<unsigned long long>(result.merge_emitted),
               static_cast<unsigned long long>(result.merge_full_compares));
   if (!result.ok()) {
     std::fprintf(stderr, "mcsort_coord: %s\n",
-                 result.ToStatus().ToString().c_str());
+                 result.status.ToString().c_str());
     return 1;
   }
   if (query == "group") {
@@ -201,10 +200,9 @@ int main(int argc, char** argv) {
     qopts.table = table;
     qopts.want_merge_keys = true;
     net::RemoteResult want;
-    if (client.TryQuery(single, qopts, &want) != net::ClientStatus::kOk ||
-        !want.ok()) {
+    if (!client.TryQuery(single, qopts, &want).ok()) {
       std::fprintf(stderr, "verify: single-node query failed: %s\n",
-                   want.error_detail.c_str());
+                   want.status.ToString().c_str());
       return 1;
     }
     bool same = true;

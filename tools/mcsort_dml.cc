@@ -145,7 +145,7 @@ bool Digest(McsortClient& client, const std::string& table, uint64_t* digest,
   const RemoteResult result = client.Query(spec, call);
   if (!result.ok()) {
     std::fprintf(stderr, "mcsort_dml: digest query failed: %s\n",
-                 result.error_detail.c_str());
+                 result.status.ToString().c_str());
     return false;
   }
   uint64_t h = 1469598103934665603ull;

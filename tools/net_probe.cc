@@ -230,7 +230,7 @@ int main() {
                              .Count()
                              .Build();
   RemoteResult result = client.Query(good, call);
-  Check(result.ok(), "good query executes (" + result.error_detail + ")");
+  Check(result.ok(), "good query executes (" + result.status.ToString() + ")");
   Check(result.summary.num_groups > 0, "good query produced groups");
   Check(result.aggregate_values.size() == 2,
         "good query returned both aggregates");
