@@ -1,8 +1,8 @@
 // Ablation: the per-round sort kernels of multi-column sorting — SIMD
-// merge-sort (the paper's kernel), LSD radix (Sec. 7 future work), OVC
-// merge (offset-value-coded merges skip full key comparisons), and the
-// CAFS-style counting sort (O(N + K) when the round's distinct count K is
-// small against N).
+// merge-sort (the paper's kernel) and the CAFS-style counting sort
+// (O(N + K) when the round's distinct count K is small against N). The
+// kernel is chosen the way the executor always chooses it: by annotating
+// every plan round.
 //
 // Three experiments:
 //   1. Kernel-per-plan table over the Sec. 3 instances — which kernel wins
@@ -23,6 +23,19 @@
 #include "mcsort/plan/roga.h"
 #include "mcsort/sort/counting_sort.h"
 
+namespace {
+
+// `plan` with every round annotated to run `kernel`.
+mcsort::MassagePlan WithKernel(mcsort::MassagePlan plan,
+                               mcsort::SortKernel kernel) {
+  for (size_t j = 0; j < plan.num_rounds(); ++j) {
+    plan.mutable_round(j)->kernel = kernel;
+  }
+  return plan;
+}
+
+}  // namespace
+
 int main() {
   using namespace mcsort;
   const uint64_t n = bench::EnvRows();
@@ -34,18 +47,21 @@ int main() {
     std::vector<std::vector<int>> plans;
   };
   const std::vector<Case> cases = {
-      // Ex1-style narrow pair; note 17 bits = 3 radix passes, 16 = 2.
+      // Ex1-style narrow pair.
       {10, 17, {{10, 17}, {27}, {11, 16}}},
       // Ex3: the paper's sweep instance.
       {17, 33, {{17, 33}, {18, 32}, {25, 25}, {50}}},
-      // Wide pair (Ex4): radix pays many passes on 48-bit rounds.
+      // Wide pair (Ex4).
       {48, 48, {{48, 48}, {32, 32, 32}}},
   };
 
-  MultiColumnSorter merge_sorter(nullptr, SortKernel::kSimdMerge);
-  MultiColumnSorter radix_sorter(nullptr, SortKernel::kRadix);
-  MultiColumnSorter ovc_sorter(nullptr, SortKernel::kOvcMerge);
-  MultiColumnSorter counting_sorter(nullptr, SortKernel::kCounting);
+  MultiColumnSorter sorter;
+  const auto measure = [&](const std::vector<MassageInput>& inputs,
+                           const MassagePlan& plan, SortKernel kernel) {
+    return bench::MeasurePlan(inputs, WithKernel(plan, kernel),
+                              bench::EnvReps(), &sorter)
+        .total_seconds();
+  };
 
   for (const Case& c : cases) {
     bench::Header(std::to_string(c.w1) + "-bit + " + std::to_string(c.w2) +
@@ -54,29 +70,17 @@ int main() {
     const EncodedColumn c2 = bench::SyntheticColumn(c.w2, n, 72);
     std::vector<MassageInput> inputs = {{&c1, SortOrder::kAscending},
                                         {&c2, SortOrder::kAscending}};
-    std::printf("%-28s %10s %10s %10s %10s\n", "plan", "merge(ms)",
-                "radix(ms)", "ovc(ms)", "count(ms)");
+    std::printf("%-28s %10s %10s\n", "plan", "merge(ms)", "count(ms)");
     for (const auto& widths : c.plans) {
       const MassagePlan plan = MassagePlan::WithMinimalBanks(widths);
-      const double merge_s =
-          bench::MeasurePlan(inputs, plan, bench::EnvReps(), &merge_sorter)
-              .total_seconds();
-      const double radix_s =
-          bench::MeasurePlan(inputs, plan, bench::EnvReps(), &radix_sorter)
-              .total_seconds();
-      const double ovc_s =
-          bench::MeasurePlan(inputs, plan, bench::EnvReps(), &ovc_sorter)
-              .total_seconds();
+      const double merge_s = measure(inputs, plan, SortKernel::kSimdMerge);
       // Counting degrades per round to merge beyond kCountingMaxWidth
       // (the executor's feasibility guard) — flagged with a '*'.
       bool degraded = false;
       for (int w : widths) degraded = degraded || !CountingSortFeasible(w);
-      const double counting_s =
-          bench::MeasurePlan(inputs, plan, bench::EnvReps(), &counting_sorter)
-              .total_seconds();
-      std::printf("%-28s %10s %10s %10s %9s%c\n", plan.ToString().c_str(),
-                  bench::Ms(merge_s).c_str(), bench::Ms(radix_s).c_str(),
-                  bench::Ms(ovc_s).c_str(), bench::Ms(counting_s).c_str(),
+      const double counting_s = measure(inputs, plan, SortKernel::kCounting);
+      std::printf("%-28s %10s %9s%c\n", plan.ToString().c_str(),
+                  bench::Ms(merge_s).c_str(), bench::Ms(counting_s).c_str(),
                   degraded ? '*' : ' ');
     }
   }
@@ -87,33 +91,19 @@ int main() {
   // Cardinality sweep: one 16-bit round, K distinct values over N rows.
   // ------------------------------------------------------------------
   bench::Header("cardinality sweep: 16-bit round, K/N from 2^-16 to ~1");
-  std::printf("%-10s %8s %10s %10s %10s %12s %14s\n", "K", "K/N",
-              "merge(ms)", "ovc(ms)", "count(ms)", "count/merge",
-              "ovc full/emit");
+  std::printf("%-10s %8s %10s %10s %12s\n", "K", "K/N", "merge(ms)",
+              "count(ms)", "count/merge");
   for (int log_k = 0; log_k <= 16; log_k += 2) {
     const uint64_t k = uint64_t{1} << log_k;
     const EncodedColumn col = bench::SyntheticColumn(16, n, 81 + log_k, k);
     std::vector<MassageInput> inputs = {{&col, SortOrder::kAscending}};
     const MassagePlan plan = MassagePlan::WithMinimalBanks({16});
-    const double merge_s =
-        bench::MeasurePlan(inputs, plan, bench::EnvReps(), &merge_sorter)
-            .total_seconds();
-    const MultiColumnSortResult ovc_result =
-        bench::MeasurePlan(inputs, plan, bench::EnvReps(), &ovc_sorter);
-    const double ovc_s = ovc_result.total_seconds();
-    const double counting_s =
-        bench::MeasurePlan(inputs, plan, bench::EnvReps(), &counting_sorter)
-            .total_seconds();
-    const uint64_t emitted = ovc_result.rounds[0].ovc_emitted;
-    const uint64_t full = ovc_result.rounds[0].ovc_full_compares;
-    std::printf("2^%-8d %8.2g %10s %10s %10s %11.2fx %6.1f%%\n", log_k,
+    const double merge_s = measure(inputs, plan, SortKernel::kSimdMerge);
+    const double counting_s = measure(inputs, plan, SortKernel::kCounting);
+    std::printf("2^%-8d %8.2g %10s %10s %11.2fx\n", log_k,
                 static_cast<double>(k) / static_cast<double>(n),
-                bench::Ms(merge_s).c_str(), bench::Ms(ovc_s).c_str(),
-                bench::Ms(counting_s).c_str(),
-                merge_s > 0 ? counting_s / merge_s : 0,
-                emitted > 0 ? 100.0 * static_cast<double>(full) /
-                                  static_cast<double>(emitted)
-                            : 0.0);
+                bench::Ms(merge_s).c_str(), bench::Ms(counting_s).c_str(),
+                merge_s > 0 ? counting_s / merge_s : 0);
   }
 
   // ------------------------------------------------------------------
@@ -135,10 +125,7 @@ int main() {
 
   std::printf("\nexpected shape: counting beats merge while K stays far\n"
               "below N with the 2^16-counter histogram cache-resident;\n"
-              "OVC's full-comparison share *falls* as K grows (ties have\n"
-              "equal codes and must compare keys; distinct byte prefixes\n"
-              "resolve on the code alone); radix wins on narrow rounds\n"
-              "ending at digit boundaries; ROGA's routing crossover should\n"
-              "track the measured count/merge crossover.\n");
+              "ROGA's routing crossover should track the measured\n"
+              "count/merge crossover.\n");
   return 0;
 }

@@ -38,9 +38,10 @@ inline std::string EnvStr(const char* name, const char* fallback) {
 // keeps only the raw parsing primitives.
 
 // Sort-kernel override (debugging aid, mirrors MCSORT_RHO): MCSORT_KERNELS
-// is a comma-separated allow-list over {merge, ovc, counting, radix}. It
-// restricts ROGA's kernel-choice dimension, and when it names exactly one
-// kernel the executor forces every round to it. Parsed by
+// is a comma-separated allow-list over {merge, counting}. It restricts
+// ROGA's kernel-choice dimension, and when it names exactly one kernel the
+// executor forces every round to it. Unknown tokens (such as the retired
+// "ovc" and "radix") are reported on stderr and skipped. Parsed by
 // KernelMaskFromEnv (massage/plan.h), which owns the SortKernel names;
 // this header only documents the spelling next to its sibling knobs.
 

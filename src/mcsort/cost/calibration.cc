@@ -246,76 +246,6 @@ void CalibrateSortBank(const CalibrationOptions& options, int bank,
 }
 
 // --------------------------------------------------------------------------
-// OVC merge kernel constants
-// --------------------------------------------------------------------------
-
-// Same experiment design as CalibrateSortBank, but against the OVC cost
-// shape: {N_sort, rows, rows * binary_passes} with the pass count the
-// model's ceil(log2(group_rows / kOvcRunElems)). Group counts are chosen
-// so every group stays above one base run — the regime where the model
-// ever considers the kernel.
-void CalibrateOvcBank(const CalibrationOptions& options, int bank,
-                      CostParams* params) {
-  const uint64_t n = options.sort_rows;
-  Rng rng(options.seed + 100 + static_cast<uint64_t>(bank));
-  const int width = bank;
-
-  EncodedColumn master;
-  master.ResetTyped(width, PhysicalTypeForWidth(width), n);
-  for (uint64_t i = 0; i < n; ++i) {
-    master.Set(i, rng.Next() & LowBitsMask(width));
-  }
-
-  SortScratch scratch;
-  std::vector<std::vector<double>> a;
-  std::vector<double> b;
-  for (uint64_t groups : {uint64_t{1}, uint64_t{4}, uint64_t{16},
-                          uint64_t{64}, uint64_t{256}}) {
-    const uint64_t group_rows = n / groups;
-    if (group_rows <= kOvcRunElems) continue;
-    const uint64_t used = group_rows * groups;
-    EncodedColumn keys;
-    std::vector<Oid> oids(used);
-    const double seconds = MeasureSeconds(options.repeats, [&] {
-      keys.ResetTyped(width, master.type(), used, /*zero_fill=*/false);
-      for (uint64_t i = 0; i < used; ++i) keys.Set(i, master.Get(i));
-      std::iota(oids.begin(), oids.end(), 0);
-      for (uint64_t g = 0; g < groups; ++g) {
-        const uint64_t begin = g * group_rows;
-        switch (keys.type()) {
-          case PhysicalType::kU16:
-            OvcSortPairs16(keys.Data16() + begin, oids.data() + begin,
-                           group_rows, scratch);
-            break;
-          case PhysicalType::kU32:
-            OvcSortPairs32(keys.Data32() + begin, oids.data() + begin,
-                           group_rows, scratch);
-            break;
-          case PhysicalType::kU64:
-            OvcSortPairs64(keys.Data64() + begin, oids.data() + begin,
-                           group_rows, scratch);
-            break;
-        }
-      }
-    });
-    const double passes = std::max(
-        0.0, std::ceil(std::log2(static_cast<double>(group_rows) /
-                                 static_cast<double>(kOvcRunElems))));
-    a.push_back({static_cast<double>(groups), static_cast<double>(used),
-                 static_cast<double>(used) * passes});
-    b.push_back(SecondsToCycles(seconds, *params));
-  }
-  // Tiny calibrations (smoke tests) may leave fewer group counts above the
-  // one-run floor than the fit has unknowns; keep the defaults then.
-  if (a.size() < 3) return;
-  const std::vector<double> x = SolveLeastSquares(a, b);
-  OvcSortParams& op = params->mutable_ovc(bank);
-  op.overhead = std::max(10.0, x[0]);
-  op.run_form = std::max(0.5, x[1]);
-  op.merge_pass = std::max(0.2, x[2]);
-}
-
-// --------------------------------------------------------------------------
 // Counting kernel constants
 // --------------------------------------------------------------------------
 
@@ -385,7 +315,6 @@ CostParams Calibrate(const CalibrationOptions& options) {
   CalibrateScan(options, &params);
   for (int bank : {16, 32, 64}) {
     CalibrateSortBank(options, bank, &params);
-    CalibrateOvcBank(options, bank, &params);
   }
   CalibrateCounting(options, &params);
   return params;
@@ -402,11 +331,6 @@ bool SaveParams(const CostParams& params, const char* path) {
     const BankSortParams& bp = params.bank(bank);
     std::fprintf(f, "bank%d=%.6g,%.6g,%.6g,%.6g\n", bank, bp.overhead,
                  bp.sort_network, bp.in_cache_merge, bp.out_of_cache_merge);
-  }
-  for (int bank : {16, 32, 64}) {
-    const OvcSortParams& op = params.ovc(bank);
-    std::fprintf(f, "ovc%d=%.6g,%.6g,%.6g\n", bank, op.overhead, op.run_form,
-                 op.merge_pass);
   }
   std::fprintf(f, "counting=%.6g,%.6g,%.6g,%.6g\n", params.counting.overhead,
                params.counting.per_bucket, params.counting.row_cache,
@@ -443,13 +367,6 @@ bool LoadParams(const char* path, CostParams* params) {
       bp.in_cache_merge = c;
       bp.out_of_cache_merge = d;
       ++fields;
-    } else if (std::sscanf(line, "ovc%d=%lf,%lf,%lf", &bank, &a, &b, &c) ==
-               4) {
-      OvcSortParams& op = params->mutable_ovc(bank);
-      op.overhead = a;
-      op.run_form = b;
-      op.merge_pass = c;
-      ++fields;
     } else if (std::sscanf(line, "counting=%lf,%lf,%lf,%lf", &a, &b, &c,
                            &d) == 4) {
       params->counting.overhead = a;
@@ -460,10 +377,11 @@ bool LoadParams(const char* path, CostParams* params) {
     }
   }
   std::fclose(f);
-  // 11 = 4 scalars + 3 banks + 3 OVC banks + counting. Older calibration
-  // files lack the kernel terms; treating them as missing forces one
-  // recalibration rather than routing kernels on stale defaults.
-  return fields >= 11;
+  // 8 = 4 scalars + 3 banks + counting. Older calibration files lack the
+  // counting term; treating them as missing forces one recalibration
+  // rather than routing kernels on stale defaults. Lines of retired
+  // kernels (the in-memory OVC merge's `ovcNN=`) are skipped, not counted.
+  return fields >= 8;
 }
 
 namespace {

@@ -15,8 +15,6 @@
 //     scale with N (Eqs. 6-7), so only their sum is identifiable — exactly
 //     as in the paper's joint calibration; the sum is split evenly, which
 //     leaves every prediction unchanged.
-//   * Per-bank OVC constants: the same segmented-sort design against the
-//     OVC cost shape {N_sort, rows, rows * binary_passes}.
 //   * Counting constants: width x group-count sweep; the domain walks
 //     identify the per-bucket term, widths past L2 split the cached vs
 //     missing per-row costs.

@@ -1,9 +1,10 @@
-// K-way merge of sorted shard result streams — the coordinator's gather
-// half. Shards ship per-element 128-bit composite sort keys
-// (dist/merge_keys.h); this header merges K such pre-sorted runs with a
-// tree of losers driven by offset-value codes, the K-way generalization of
-// the binary OvcMergeStream in sort/ovc.h (same Do & Graefe scheme, 16-bit
-// digits over the 128-bit key instead of byte digits over one bank).
+// K-way merge of sorted runs of 128-bit composite sort keys — the
+// repository's one K-way merge primitive. The coordinator merges shard
+// result streams with it (keys from dist/merge_keys.h), and the external
+// sort's streaming CursorLoserTree reuses its codes and counters. K
+// pre-sorted runs are merged with a tree of losers driven by offset-value
+// codes ("Robust and Efficient Sorting with Offset-Value Coding", Do &
+// Graefe — see PAPERS.md), with 16-bit digits over the 128-bit key.
 //
 // Invariant carried by the tree (the classic tree-of-losers argument):
 // every stored loser's code is relative to the winner that defeated it,
@@ -30,8 +31,6 @@
 #include <cstdint>
 #include <utility>
 #include <vector>
-
-#include "mcsort/sort/ovc.h"
 
 namespace mcsort {
 namespace dist {
@@ -80,6 +79,14 @@ inline MergeCode MergeCodeFirst(Key128 x) {
   return (MergeCode{8} << 16) |
          static_cast<unsigned>((x.hi >> 48) & 0xFFFF);
 }
+
+// Comparison instrumentation: `full_compares` counts challenges that had
+// to touch the keys (equal codes); `emitted` counts merged elements. The
+// gap is the key comparisons offset-value coding skipped.
+struct OvcCounters {
+  uint64_t full_compares = 0;
+  uint64_t emitted = 0;
+};
 
 // One sorted input run: parallel hi/lo key arrays (borrowed; must outlive
 // the tree). Runs may be empty.
@@ -147,7 +154,7 @@ class OvcLoserTree {
     return true;
   }
 
-  const sort_internal::OvcCounters& counters() const { return counters_; }
+  const OvcCounters& counters() const { return counters_; }
 
  private:
   static constexpr int kNoRun = -1;
@@ -211,7 +218,7 @@ class OvcLoserTree {
   size_t cap_ = 1;
   size_t remaining_ = 0;
   int winner_ = kNoRun;
-  sort_internal::OvcCounters counters_;
+  OvcCounters counters_;
 };
 
 }  // namespace dist

@@ -13,6 +13,7 @@
 #ifndef MCSORT_ENGINE_MULTI_COLUMN_SORTER_H_
 #define MCSORT_ENGINE_MULTI_COLUMN_SORTER_H_
 
+#include <optional>
 #include <vector>
 
 #include "mcsort/common/exec_context.h"
@@ -33,13 +34,9 @@ struct RoundProfile {
   size_t num_groups = 0;      // N_group after this round
   size_t num_sorts = 0;       // N_sort: non-singleton groups sorted
 
-  // The kernel that actually executed this round (after plan annotation,
-  // constructor override, and MCSORT_KERNELS forcing are resolved).
+  // The kernel that actually executed this round (the plan annotation,
+  // after MCSORT_KERNELS forcing and the counting feasibility guard).
   SortKernel kernel = SortKernel::kSimdMerge;
-  // OVC instrumentation (zero unless kernel == kOvcMerge): merge steps
-  // executed vs. the subset that needed a full key comparison.
-  uint64_t ovc_emitted = 0;
-  uint64_t ovc_full_compares = 0;
 
   // Morsel-driven parallelism instrumentation (all zero for serial runs).
   size_t cooperative_sorts = 0;  // huge segments sorted by the parallel
@@ -73,17 +70,13 @@ struct MultiColumnSortResult {
   }
 };
 
-// SortKernel itself lives in massage/plan.h (it is a plan dimension now);
-// the executor resolves the effective kernel per round as:
-//   MCSORT_KERNELS forcing (exactly one kernel named)
-//   > constructor-level override (kernel != kSimdMerge, e.g. the radix
-//     benchmarks)
-//   > the plan round's cost-chosen annotation.
+// SortKernel itself lives in massage/plan.h (it is a plan dimension): each
+// round runs the kernel its plan annotation names, unless MCSORT_KERNELS
+// names exactly one kernel, which then runs every round.
 class MultiColumnSorter {
  public:
   // `pool` (optional) parallelizes massaging, lookups, and per-group sorts.
-  explicit MultiColumnSorter(ThreadPool* pool = nullptr,
-                             SortKernel kernel = SortKernel::kSimdMerge);
+  explicit MultiColumnSorter(ThreadPool* pool = nullptr);
 
   // Sorts under `plan`; plan.total_width() must equal the summed input
   // widths. Inputs are given most-significant first (ORDER BY order).
@@ -103,13 +96,13 @@ class MultiColumnSorter {
 
   // Sorts every non-singleton segment of `keys` in place, permuting the
   // matching `oids` range, with round kernel `kernel` (subject to the
-  // override resolution described above; the resolved kernel and any OVC
-  // counters are recorded in `profile`). With a multi-worker pool,
-  // segments are bucketed by size: huge ones run the cooperative parallel
-  // sorter of the kernel (merge, OVC, and counting all have one; radix
-  // keeps whole segments), mid-size ones are claimed dynamically as
-  // morsels of segments, and tiny (insertion-sort-sized) ones ride in
-  // large morsels to amortize dispatch. Public so the pipeline interpreter
+  // MCSORT_KERNELS forcing described above; a counting kernel on a round
+  // too wide for it runs merge instead; the resolved kernel is recorded in
+  // `profile`). With a multi-worker pool, segments are bucketed by size:
+  // huge ones run the kernel's cooperative parallel sorter, mid-size ones
+  // are claimed dynamically as morsels of segments, and tiny
+  // (insertion-sort-sized) ones ride in large morsels to amortize
+  // dispatch. Public so the pipeline interpreter
   // shares one executor with the bulk path. A stoppable `ctx` stops
   // between segments / morsels / merge chunks; the caller re-checks ctx
   // and discards the round on a stop.
@@ -120,10 +113,8 @@ class MultiColumnSorter {
 
  private:
   ThreadPool* pool_;
-  SortKernel kernel_;
-  // MCSORT_KERNELS named exactly one kernel: force it everywhere.
-  bool env_forced_ = false;
-  SortKernel env_kernel_ = SortKernel::kSimdMerge;
+  // Set when MCSORT_KERNELS names exactly one kernel: forced everywhere.
+  std::optional<SortKernel> env_kernel_;
   std::vector<SortScratch> scratch_;  // one per worker
 };
 

@@ -1,6 +1,7 @@
 #include "mcsort/massage/plan.h"
 
 #include <cctype>
+#include <cstdio>
 #include <numeric>
 #include <utility>
 
@@ -13,8 +14,6 @@ namespace mcsort {
 const char* SortKernelName(SortKernel kernel) {
   switch (kernel) {
     case SortKernel::kSimdMerge: return "merge";
-    case SortKernel::kRadix: return "radix";
-    case SortKernel::kOvcMerge: return "ovc";
     case SortKernel::kCounting: return "counting";
   }
   return "?";
@@ -27,7 +26,7 @@ SortKernelMask ParseKernelMask(const std::string& text,
   while (pos <= text.size()) {
     size_t comma = text.find(',', pos);
     if (comma == std::string::npos) comma = text.size();
-    // Trim surrounding whitespace: "ovc, counting" must parse.
+    // Trim surrounding whitespace: "merge, counting" must parse.
     size_t begin = pos;
     size_t end = comma;
     while (begin < end && std::isspace(static_cast<unsigned char>(text[begin]))) ++begin;
@@ -35,12 +34,13 @@ SortKernelMask ParseKernelMask(const std::string& text,
     const std::string token = text.substr(begin, end - begin);
     if (token == "merge" || token == "simd") {
       mask |= KernelBit(SortKernel::kSimdMerge);
-    } else if (token == "ovc") {
-      mask |= KernelBit(SortKernel::kOvcMerge);
     } else if (token == "counting") {
       mask |= KernelBit(SortKernel::kCounting);
-    } else if (token == "radix") {
-      mask |= KernelBit(SortKernel::kRadix);
+    } else if (!token.empty()) {
+      std::fprintf(stderr,
+                   "[mcsort] unknown sort kernel '%s' ignored "
+                   "(known: merge, counting)\n",
+                   token.c_str());
     }
     pos = comma + 1;
   }
@@ -48,7 +48,9 @@ SortKernelMask ParseKernelMask(const std::string& text,
 }
 
 SortKernelMask KernelMaskFromEnv(SortKernelMask fallback) {
-  return ParseKernelMask(EnvStr("MCSORT_KERNELS", ""), fallback);
+  static const SortKernelMask env_mask =
+      ParseKernelMask(EnvStr("MCSORT_KERNELS", ""), 0);
+  return env_mask == 0 ? fallback : env_mask;
 }
 
 MassagePlan::MassagePlan(std::vector<Round> rounds)

@@ -18,37 +18,34 @@
 namespace mcsort {
 
 // Which single-column sort kernel executes a round. kSimdMerge is the
-// paper's merge-sort with sorting-network kernel [5]; kRadix is the LSD
-// radix sort of the Sec. 7 extension (cost driven by the round *width*
-// rather than the bank); kOvcMerge forms SIMD-sorted runs but merges them
-// with offset-value codes (Do & Graefe) that skip full key comparisons
-// when prefixes match; kCounting is the CAFS-style O(N + K) frequency sort
-// for rounds whose domain (and distinct count) is small relative to N.
-enum class SortKernel { kSimdMerge, kRadix, kOvcMerge, kCounting };
+// paper's merge-sort with sorting-network kernel [5]; kCounting is the
+// CAFS-style O(N + K) frequency sort for rounds whose domain (and
+// distinct count) is small relative to N.
+enum class SortKernel { kSimdMerge, kCounting };
 
 const char* SortKernelName(SortKernel kernel);
 
 // Bitmask over SortKernel values — the plan search's kernel-choice
-// dimension. kRoutableKernels are the kernels the cost model can estimate
-// and ROGA routes between; kRadix stays a manual override (no calibrated
-// cost term) selectable only via MCSORT_KERNELS or the sorter constructor.
+// dimension. The cost model prices every kernel, so all of them are
+// routable.
 using SortKernelMask = uint32_t;
 constexpr SortKernelMask KernelBit(SortKernel kernel) {
   return SortKernelMask{1} << static_cast<int>(kernel);
 }
 constexpr SortKernelMask kRoutableKernels =
-    KernelBit(SortKernel::kSimdMerge) | KernelBit(SortKernel::kOvcMerge) |
-    KernelBit(SortKernel::kCounting);
+    KernelBit(SortKernel::kSimdMerge) | KernelBit(SortKernel::kCounting);
 
-// Parses a comma-separated kernel list ("merge", "ovc", "counting",
-// "radix"); unknown tokens are ignored, an empty/unparsable string returns
-// `fallback`.
+// Parses a comma-separated kernel list ("merge" or its alias "simd",
+// "counting"). Each unknown token — including the retired "ovc" and
+// "radix" — is reported on stderr and skipped; an empty or wholly unknown
+// list returns `fallback`.
 SortKernelMask ParseKernelMask(const std::string& text,
                                SortKernelMask fallback);
 
 // The MCSORT_KERNELS debugging override (mirrors MCSORT_RHO): restricts
 // the planner's kernel-choice dimension, and — when exactly one kernel is
-// named — forces the executor's per-round dispatch to it.
+// named — forces the executor's per-round dispatch to it. The variable is
+// read and parsed once per process, so a bad token warns once.
 SortKernelMask KernelMaskFromEnv(SortKernelMask fallback = kRoutableKernels);
 
 // One round of sorting: `width` bits of the concatenated key sorted with a

@@ -27,8 +27,9 @@
 #include "mcsort/simd/kernels32.h"
 #include "mcsort/simd/kernels64.h"
 #include "mcsort/simd/simd.h"
-#include "mcsort/sort/ovc.h"
 #include "mcsort/sort/scalar_kernels.h"
+
+#if MCSORT_HAVE_AVX2
 
 namespace mcsort {
 namespace sort_internal {
@@ -36,117 +37,8 @@ namespace sort_internal {
 // Elements produced per stream pull when a stoppable context asks for
 // chunked pair merges: large enough to amortize the per-chunk split /
 // state save, small enough (a few ms of merging) to bound the stop
-// latency. Shared by the SIMD merge-path chunks and the OVC merges.
+// latency.
 constexpr size_t kStopMergeChunkElems = size_t{1} << 19;
-
-// ---------------------------------------------------------------------------
-// OVC merge passes (scalar — available without AVX2)
-// ---------------------------------------------------------------------------
-
-// One binary OVC merge pass with run length `run` over src[0, n): codes
-// ride along with keys and payloads, so later passes inherit them without
-// recomputation. Lone (already sorted) runs carry over by copy.
-template <int Bank, typename K>
-void OvcMergePass(const K* src_k, const uint32_t* src_p,
-                  const OvcCode* src_c, K* dst_k, uint32_t* dst_p,
-                  OvcCode* dst_c, size_t n, size_t run,
-                  OvcCounters* counters) {
-  for (size_t i = 0; i < n; i += 2 * run) {
-    const size_t mid = std::min(i + run, n);
-    const size_t stop = std::min(i + 2 * run, n);
-    if (mid >= stop) {
-      std::memcpy(dst_k + i, src_k + i, (stop - i) * sizeof(K));
-      std::memcpy(dst_p + i, src_p + i, (stop - i) * sizeof(uint32_t));
-      std::memcpy(dst_c + i, src_c + i, (stop - i) * sizeof(OvcCode));
-    } else {
-      OvcMergePair<Bank, K>(src_k, src_p, src_c, dst_k, dst_p, dst_c, i, mid,
-                            stop, counters);
-    }
-  }
-}
-
-// Merges adjacent coded runs of length `part_len` by parallel pairwise
-// passes, ping-ponging (keys, pays, codes) with the alt arrays; guarantees
-// the result ends up back in the primary arrays. The OVC sibling of
-// ParallelMergePasses below: one pool item per merge pair, with a
-// stoppable `ctx` checked between passes and — via chunked stream pulls —
-// inside each pair merge, so two huge late-pass runs cannot defer a stop.
-// On a stop the array contents are unspecified; the caller re-checks ctx
-// and discards them.
-template <int Bank, typename K>
-void OvcParallelMergePasses(K* keys, uint32_t* pays, OvcCode* codes,
-                            K* alt_k, uint32_t* alt_p, OvcCode* alt_c,
-                            size_t n, size_t part_len, ThreadPool& pool,
-                            const ExecContext* ctx, OvcCounters* counters) {
-  const bool stoppable = ctx != nullptr && ctx->stoppable();
-  // Per-worker counters: pair merges on different workers must not share a
-  // counter cell.
-  std::vector<OvcCounters> worker_counters(
-      static_cast<size_t>(pool.num_threads()));
-  K* cur_k = keys;
-  uint32_t* cur_p = pays;
-  OvcCode* cur_c = codes;
-  for (size_t run = part_len; run < n; run *= 2) {
-    if (stoppable && ctx->StopRequested()) break;
-    const size_t num_pairs = (n + 2 * run - 1) / (2 * run);
-    pool.ParallelFor(
-        num_pairs,
-        [&](uint64_t begin, uint64_t end, int worker) {
-          OvcCounters* wc = &worker_counters[static_cast<size_t>(worker)];
-          for (uint64_t pair = begin; pair < end; ++pair) {
-            const size_t i = static_cast<size_t>(pair) * 2 * run;
-            const size_t mid = std::min(i + run, n);
-            const size_t stop = std::min(i + 2 * run, n);
-            if (!stoppable) {
-              if (mid >= stop) {
-                std::memcpy(alt_k + i, cur_k + i, (stop - i) * sizeof(K));
-                std::memcpy(alt_p + i, cur_p + i,
-                            (stop - i) * sizeof(uint32_t));
-                std::memcpy(alt_c + i, cur_c + i,
-                            (stop - i) * sizeof(OvcCode));
-              } else {
-                OvcMergePair<Bank, K>(cur_k, cur_p, cur_c, alt_k, alt_p,
-                                      alt_c, i, mid, stop, wc);
-              }
-              continue;
-            }
-            OvcMergeStream<Bank, K> stream;
-            stream.Init(cur_k + i, cur_p + i, cur_c + i, mid - i,
-                        cur_k + mid, cur_p + mid, cur_c + mid,
-                        stop > mid ? stop - mid : 0);
-            size_t out = i;
-            while (stream.remaining() > 0) {
-              if (ctx->StopRequested()) return;
-              out += stream.Pull(alt_k + out, alt_p + out, alt_c + out,
-                                 kStopMergeChunkElems, wc);
-            }
-          }
-        },
-        ctx);
-    std::swap(cur_k, alt_k);
-    std::swap(cur_p, alt_p);
-    std::swap(cur_c, alt_c);
-  }
-  if (cur_k != keys) {
-    std::memcpy(keys, cur_k, n * sizeof(K));
-    std::memcpy(pays, cur_p, n * sizeof(uint32_t));
-    std::memcpy(codes, cur_c, n * sizeof(OvcCode));
-  }
-  if (counters != nullptr) {
-    for (const OvcCounters& wc : worker_counters) {
-      counters->full_compares += wc.full_compares;
-      counters->emitted += wc.emitted;
-    }
-  }
-}
-
-}  // namespace sort_internal
-}  // namespace mcsort
-
-#if MCSORT_HAVE_AVX2
-
-namespace mcsort {
-namespace sort_internal {
 
 // ---------------------------------------------------------------------------
 // Bank traits

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <tuple>
 
 #include "mcsort/common/bits.h"
 #include "mcsort/common/cpu_info.h"
@@ -398,285 +397,6 @@ void SortPairsBank(int bank, void* keys, uint32_t* oids, size_t n,
       break;
     case 64:
       SortPairs64(static_cast<uint64_t*>(keys), oids, n, scratch);
-      break;
-    default:
-      MCSORT_CHECK(false && "unsupported bank size");
-  }
-}
-
-// ---------------------------------------------------------------------------
-// OVC merge kernel
-// ---------------------------------------------------------------------------
-
-namespace {
-
-using sort_internal::OvcCode;
-using sort_internal::OvcCounters;
-using sort_internal::OvcEncodeRun;
-using sort_internal::OvcMergePass;
-using sort_internal::OvcParallelMergePasses;
-
-void AccumulateOvcStats(const OvcCounters& counters, OvcSortStats* stats) {
-  if (stats == nullptr) return;
-  stats->full_compares += counters.full_compares;
-  stats->emitted += counters.emitted;
-}
-
-// Encodes codes for the pre-sorted runs of `run_len` in keys[0..n), then
-// binary-merges them on codes, ping-ponging the (keys, oids, codes)
-// triples; the sorted result always ends back in (keys, oids). Scalar —
-// this is the phase where offset-value coding replaces key comparisons.
-template <int Bank, typename K>
-void OvcMergeRuns(K* keys, uint32_t* oids, size_t n, size_t run_len,
-                  K* alt_k, uint32_t* alt_p, OvcCode* codes, OvcCode* alt_c,
-                  OvcSortStats* stats) {
-  for (size_t i = 0; i < n; i += run_len) {
-    OvcEncodeRun<Bank>(keys + i, codes + i, std::min(run_len, n - i));
-  }
-  OvcCounters counters;
-  K* cur_k = keys;
-  uint32_t* cur_p = oids;
-  OvcCode* cur_c = codes;
-  for (size_t run = run_len; run < n; run *= 2) {
-    OvcMergePass<Bank>(cur_k, cur_p, cur_c, alt_k, alt_p, alt_c, n, run,
-                       &counters);
-    std::swap(cur_k, alt_k);
-    std::swap(cur_p, alt_p);
-    std::swap(cur_c, alt_c);
-  }
-  if (cur_k != keys) {
-    std::memcpy(keys, cur_k, n * sizeof(K));
-    std::memcpy(oids, cur_p, n * sizeof(uint32_t));
-  }
-  AccumulateOvcStats(counters, stats);
-}
-
-// Shared parallel OVC driver: serial OVC part sorts (one per worker, using
-// that worker's scratch), per-part code encoding into the shared code
-// array, then parallel code-carrying pairwise merge passes. `ensure_alt`
-// runs after the part sorts (the shared buffers may be the same
-// allocations the part sorts used at part length) and returns the
-// full-length (alt_k, alt_p, codes, alt_c) buffers from scratches[0].
-// Entirely scalar after run formation, so unlike ParallelSortPairs* this
-// path needs no AVX2 gate.
-template <int Bank, typename K, typename SerialFn, typename EnsureAlt>
-void ParallelOvcCore(K* keys, uint32_t* oids, size_t n, ThreadPool& pool,
-                     std::vector<SortScratch>& scratches,
-                     const ExecContext* ctx, OvcSortStats* stats,
-                     SerialFn serial, EnsureAlt ensure_alt) {
-  MCSORT_CHECK(scratches.size() >=
-               static_cast<size_t>(pool.num_threads()));
-  if (pool.num_threads() <= 1 || n < kParallelSortMinRows) {
-    serial(keys, oids, n, scratches[0], stats);
-    return;
-  }
-  const size_t parts = PartCount(n, pool.num_threads(), ctx);
-  const size_t part_len = (n + parts - 1) / parts;
-  std::vector<OvcSortStats> worker_stats(
-      static_cast<size_t>(pool.num_threads()));
-  pool.ParallelFor(
-      parts,
-      [&](uint64_t begin, uint64_t end, int worker) {
-        for (size_t p = begin; p < end; ++p) {
-          const size_t lo = p * part_len;
-          if (lo >= n) break;
-          const size_t hi = std::min(lo + part_len, n);
-          serial(keys + lo, oids + lo, hi - lo,
-                 scratches[static_cast<size_t>(worker)],
-                 &worker_stats[static_cast<size_t>(worker)]);
-        }
-      },
-      ctx);
-  if (ctx != nullptr && ctx->StopRequested()) return;
-
-  K* alt_k;
-  uint32_t* alt_p;
-  OvcCode* codes;
-  OvcCode* alt_c;
-  std::tie(alt_k, alt_p, codes, alt_c) = ensure_alt();
-  // Each part is one sorted run now; encode its codes into the shared
-  // array (one linear scan — the part sorts' own codes lived in worker
-  // scratch at part length and are gone).
-  pool.ParallelFor(
-      parts,
-      [&](uint64_t begin, uint64_t end, int) {
-        for (size_t p = begin; p < end; ++p) {
-          const size_t lo = p * part_len;
-          if (lo >= n) break;
-          const size_t hi = std::min(lo + part_len, n);
-          OvcEncodeRun<Bank>(keys + lo, codes + lo, hi - lo);
-        }
-      },
-      ctx);
-  if (ctx != nullptr && ctx->StopRequested()) return;
-
-  OvcCounters counters;
-  OvcParallelMergePasses<Bank>(keys, oids, codes, alt_k, alt_p, alt_c, n,
-                               part_len, pool, ctx, &counters);
-  if (stats != nullptr) {
-    for (const OvcSortStats& ws : worker_stats) {
-      stats->full_compares += ws.full_compares;
-      stats->emitted += ws.emitted;
-    }
-    AccumulateOvcStats(counters, stats);
-  }
-}
-
-}  // namespace
-
-void OvcSortPairs32(uint32_t* keys, uint32_t* oids, size_t n,
-                    SortScratch& scratch, OvcSortStats* stats) {
-  if (n <= kOvcRunElems) {
-    // A single base run: the SIMD sort is the whole job, no merges to
-    // accelerate.
-    SortPairs32(keys, oids, n, scratch);
-    return;
-  }
-  for (size_t i = 0; i < n; i += kOvcRunElems) {
-    SortPairs32(keys + i, oids + i, std::min(kOvcRunElems, n - i), scratch);
-  }
-  scratch.u32_a.EnsureDiscard(n);
-  scratch.u32_b.EnsureDiscard(n);
-  scratch.u16_a.EnsureDiscard(n);
-  scratch.u16_b.EnsureDiscard(n);
-  OvcMergeRuns<32>(keys, oids, n, kOvcRunElems, scratch.u32_a.data(),
-                   scratch.u32_b.data(), scratch.u16_a.data(),
-                   scratch.u16_b.data(), stats);
-}
-
-void OvcSortPairs16(uint16_t* keys, uint32_t* oids, size_t n,
-                    SortScratch& scratch, OvcSortStats* stats) {
-  if (n <= kOvcRunElems) {
-    SortPairs16(keys, oids, n, scratch);
-    return;
-  }
-  for (size_t i = 0; i < n; i += kOvcRunElems) {
-    SortPairs16(keys + i, oids + i, std::min(kOvcRunElems, n - i), scratch);
-  }
-  // The scalar merge works on the native 16-bit keys directly — no
-  // widening, unlike the SIMD kernel.
-  scratch.u16_c.EnsureDiscard(n);
-  scratch.u32_a.EnsureDiscard(n);
-  scratch.u16_a.EnsureDiscard(n);
-  scratch.u16_b.EnsureDiscard(n);
-  OvcMergeRuns<16>(keys, oids, n, kOvcRunElems, scratch.u16_c.data(),
-                   scratch.u32_a.data(), scratch.u16_a.data(),
-                   scratch.u16_b.data(), stats);
-}
-
-void OvcSortPairs64(uint64_t* keys, uint32_t* oids, size_t n,
-                    SortScratch& scratch, OvcSortStats* stats) {
-  if (n <= kOvcRunElems) {
-    SortPairs64(keys, oids, n, scratch);
-    return;
-  }
-  for (size_t i = 0; i < n; i += kOvcRunElems) {
-    SortPairs64(keys + i, oids + i, std::min(kOvcRunElems, n - i), scratch);
-  }
-  // The scalar merge keeps oids in their native 32 bits — no payload
-  // widening, unlike the SIMD kernel.
-  scratch.u64_a.EnsureDiscard(n);
-  scratch.u32_a.EnsureDiscard(n);
-  scratch.u16_a.EnsureDiscard(n);
-  scratch.u16_b.EnsureDiscard(n);
-  OvcMergeRuns<64>(keys, oids, n, kOvcRunElems, scratch.u64_a.data(),
-                   scratch.u32_a.data(), scratch.u16_a.data(),
-                   scratch.u16_b.data(), stats);
-}
-
-void OvcSortPairsBank(int bank, void* keys, uint32_t* oids, size_t n,
-                      SortScratch& scratch, OvcSortStats* stats) {
-  switch (bank) {
-    case 16:
-      OvcSortPairs16(static_cast<uint16_t*>(keys), oids, n, scratch, stats);
-      break;
-    case 32:
-      OvcSortPairs32(static_cast<uint32_t*>(keys), oids, n, scratch, stats);
-      break;
-    case 64:
-      OvcSortPairs64(static_cast<uint64_t*>(keys), oids, n, scratch, stats);
-      break;
-    default:
-      MCSORT_CHECK(false && "unsupported bank size");
-  }
-}
-
-void ParallelOvcSortPairs32(uint32_t* keys, uint32_t* oids, size_t n,
-                            ThreadPool& pool,
-                            std::vector<SortScratch>& scratches,
-                            const ExecContext* ctx, OvcSortStats* stats) {
-  ParallelOvcCore<32>(
-      keys, oids, n, pool, scratches, ctx, stats,
-      [](uint32_t* k, uint32_t* p, size_t len, SortScratch& s,
-         OvcSortStats* st) { OvcSortPairs32(k, p, len, s, st); },
-      [&] {
-        scratches[0].u32_a.EnsureDiscard(n);
-        scratches[0].u32_b.EnsureDiscard(n);
-        scratches[0].u16_a.EnsureDiscard(n);
-        scratches[0].u16_b.EnsureDiscard(n);
-        return std::make_tuple(scratches[0].u32_a.data(),
-                               scratches[0].u32_b.data(),
-                               scratches[0].u16_a.data(),
-                               scratches[0].u16_b.data());
-      });
-}
-
-void ParallelOvcSortPairs16(uint16_t* keys, uint32_t* oids, size_t n,
-                            ThreadPool& pool,
-                            std::vector<SortScratch>& scratches,
-                            const ExecContext* ctx, OvcSortStats* stats) {
-  ParallelOvcCore<16>(
-      keys, oids, n, pool, scratches, ctx, stats,
-      [](uint16_t* k, uint32_t* p, size_t len, SortScratch& s,
-         OvcSortStats* st) { OvcSortPairs16(k, p, len, s, st); },
-      [&] {
-        scratches[0].u16_c.EnsureDiscard(n);
-        scratches[0].u32_a.EnsureDiscard(n);
-        scratches[0].u16_a.EnsureDiscard(n);
-        scratches[0].u16_b.EnsureDiscard(n);
-        return std::make_tuple(scratches[0].u16_c.data(),
-                               scratches[0].u32_a.data(),
-                               scratches[0].u16_a.data(),
-                               scratches[0].u16_b.data());
-      });
-}
-
-void ParallelOvcSortPairs64(uint64_t* keys, uint32_t* oids, size_t n,
-                            ThreadPool& pool,
-                            std::vector<SortScratch>& scratches,
-                            const ExecContext* ctx, OvcSortStats* stats) {
-  ParallelOvcCore<64>(
-      keys, oids, n, pool, scratches, ctx, stats,
-      [](uint64_t* k, uint32_t* p, size_t len, SortScratch& s,
-         OvcSortStats* st) { OvcSortPairs64(k, p, len, s, st); },
-      [&] {
-        scratches[0].u64_a.EnsureDiscard(n);
-        scratches[0].u32_a.EnsureDiscard(n);
-        scratches[0].u16_a.EnsureDiscard(n);
-        scratches[0].u16_b.EnsureDiscard(n);
-        return std::make_tuple(scratches[0].u64_a.data(),
-                               scratches[0].u32_a.data(),
-                               scratches[0].u16_a.data(),
-                               scratches[0].u16_b.data());
-      });
-}
-
-void ParallelOvcSortPairsBank(int bank, void* keys, uint32_t* oids, size_t n,
-                              ThreadPool& pool,
-                              std::vector<SortScratch>& scratches,
-                              const ExecContext* ctx, OvcSortStats* stats) {
-  switch (bank) {
-    case 16:
-      ParallelOvcSortPairs16(static_cast<uint16_t*>(keys), oids, n, pool,
-                             scratches, ctx, stats);
-      break;
-    case 32:
-      ParallelOvcSortPairs32(static_cast<uint32_t*>(keys), oids, n, pool,
-                             scratches, ctx, stats);
-      break;
-    case 64:
-      ParallelOvcSortPairs64(static_cast<uint64_t*>(keys), oids, n, pool,
-                             scratches, ctx, stats);
       break;
     default:
       MCSORT_CHECK(false && "unsupported bank size");

@@ -3,11 +3,18 @@
 // agreement in *shape* with the paper's Sec. 3 examples.
 #include "mcsort/cost/cost_model.h"
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "mcsort/common/bits.h"
 #include "mcsort/common/random.h"
+#include "mcsort/cost/calibration.h"
 #include "mcsort/cost/linear_solver.h"
 #include "mcsort/plan/enumerate.h"
 #include "mcsort/storage/column.h"
@@ -189,6 +196,81 @@ TEST_F(CostModelTest, SecondRoundSortsOnlyTiedRows) {
   // (many tiny groups) while staying at 16 in the grouped-first case.
   EXPECT_GT(est_unique.rounds[1].n_sort, 1000);
   EXPECT_NEAR(est_grouped.rounds[1].n_sort, 16, 3);
+}
+
+// Writes `text` to a per-process file in the test temp dir; returns its
+// path. The caller removes it.
+std::string WriteTempFile(const std::string& name, const std::string& text) {
+  const std::string path = testing::TempDir() + "mcsort_" +
+                           std::to_string(getpid()) + "_" + name;
+  std::ofstream(path) << text;
+  return path;
+}
+
+void ExpectSameSortConstants(const CostParams& a, const CostParams& b) {
+  EXPECT_EQ(a.cache_cycles, b.cache_cycles);
+  EXPECT_EQ(a.mem_cycles, b.mem_cycles);
+  EXPECT_EQ(a.massage_cycles, b.massage_cycles);
+  EXPECT_EQ(a.scan_cycles, b.scan_cycles);
+  for (int bank : {16, 32, 64}) {
+    EXPECT_EQ(a.bank(bank).overhead, b.bank(bank).overhead) << bank;
+    EXPECT_EQ(a.bank(bank).sort_network, b.bank(bank).sort_network) << bank;
+    EXPECT_EQ(a.bank(bank).in_cache_merge, b.bank(bank).in_cache_merge)
+        << bank;
+    EXPECT_EQ(a.bank(bank).out_of_cache_merge,
+              b.bank(bank).out_of_cache_merge)
+        << bank;
+  }
+  EXPECT_EQ(a.counting.overhead, b.counting.overhead);
+  EXPECT_EQ(a.counting.per_bucket, b.counting.per_bucket);
+  EXPECT_EQ(a.counting.row_cache, b.counting.row_cache);
+  EXPECT_EQ(a.counting.row_mem, b.counting.row_mem);
+}
+
+TEST(CalibrationFileTest, LegacyOvcLinesAreIgnored) {
+  // Files written before the in-memory OVC merge kernel was removed carry
+  // `ovcNN=` lines between the bank and counting lines. They must keep
+  // loading, to the same constants as a file without those lines.
+  const std::string head =
+      "cache_cycles=4.5\nmem_cycles=31\nmassage_cycles=1.25\n"
+      "scan_cycles=2.5\nbank16=301,2.5,44,2\nbank32=302,2.25,48,2.5\n"
+      "bank64=353,6,110,4.75\n";
+  const std::string ovc = "ovc16=300,6,4.5\novc32=300,6.5,5\novc64=350,9,6\n";
+  const std::string counting = "counting=310,2.5,3.5,12.5\n";
+  const std::string legacy_path =
+      WriteTempFile("legacy_calib.txt", head + ovc + counting);
+  const std::string current_path =
+      WriteTempFile("current_calib.txt", head + counting);
+  // Legacy lines count for nothing: without the counting term the file is
+  // incomplete and must be recalibrated.
+  const std::string incomplete_path =
+      WriteTempFile("incomplete_calib.txt", head + ovc);
+
+  CostParams legacy = CostParams::Default();
+  CostParams current = CostParams::Default();
+  CostParams incomplete = CostParams::Default();
+  EXPECT_TRUE(LoadParams(legacy_path.c_str(), &legacy));
+  EXPECT_TRUE(LoadParams(current_path.c_str(), &current));
+  EXPECT_FALSE(LoadParams(incomplete_path.c_str(), &incomplete));
+  ExpectSameSortConstants(legacy, current);
+  EXPECT_EQ(current.bank(64).overhead, 353);
+  EXPECT_EQ(current.counting.row_mem, 12.5);
+
+  // SaveParams writes no OVC lines, and its output loads back unchanged.
+  const std::string saved_path = WriteTempFile("saved_calib.txt", "");
+  ASSERT_TRUE(SaveParams(current, saved_path.c_str()));
+  std::ifstream saved(saved_path);
+  const std::string text((std::istreambuf_iterator<char>(saved)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(text.find("ovc"), std::string::npos) << text;
+  CostParams reloaded = CostParams::Default();
+  EXPECT_TRUE(LoadParams(saved_path.c_str(), &reloaded));
+  ExpectSameSortConstants(current, reloaded);
+
+  for (const std::string& path :
+       {legacy_path, current_path, incomplete_path, saved_path}) {
+    std::remove(path.c_str());
+  }
 }
 
 TEST(LinearSolverTest, RecoversExactSolution) {

@@ -854,9 +854,6 @@ class OutcomeAgreementTest : public ::testing::Test {
     for (BankSortParams* bank : {&params.bank16, &params.bank32}) {
       bank->sort_network = 1e6;
     }
-    for (OvcSortParams* ovc : {&params.ovc16, &params.ovc32}) {
-      ovc->run_form = 1e6;
-    }
     params.counting.row_cache = params.counting.row_mem = 1e6;
     service_ = std::make_unique<QueryService>(service_options);
     service_->RegisterTable("t", table_);

@@ -1,13 +1,13 @@
-// Tests for the adaptive sort kernels (OVC merge, counting sort) and the
+// Tests for the per-round sort kernels (SIMD merge, counting sort) and the
 // kernel-choice plan dimension.
 //
 // The load-bearing invariant is Lemma-1 equivalence: every kernel must
-// produce the same sorted key sequence and the same group structure as the
-// SIMD merge path on every input — payload order within fully tied keys is
+// produce the same sorted key sequence and the same group structure as a
+// reference sort on every input — payload order within fully tied keys is
 // the only freedom (the SIMD networks are not stable). That is checked per
 // bank, per data pattern, serial and parallel, end-to-end through
-// MultiColumnSorter with each kernel forced, and across the buffered and
-// mmap snapshot load paths.
+// MultiColumnSorter with each kernel annotated on every round, and across
+// the buffered and mmap snapshot load paths.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -109,7 +109,7 @@ const Pattern kAllPatterns[] = {
 };
 
 // Sizes straddling the interesting thresholds: insertion-sort cutoff,
-// single OVC run, multiple runs/passes.
+// in-register runs, multiple merge passes.
 const size_t kSizes[] = {0, 1, 2, 3, 33, 65, 1000, 4096, 4097, 20000};
 
 template <typename K>
@@ -123,17 +123,13 @@ void RunSerialKernels(int width, uint64_t seed) {
       }
       const auto original =
           MakeKeys<K>(pattern, n, width, seed + n + static_cast<int>(pattern));
-      // OVC merge.
+      // SIMD merge.
       {
         auto keys = original;
         std::vector<uint32_t> oids(n);
         std::iota(oids.begin(), oids.end(), 0);
-        OvcSortStats stats;
-        OvcSortPairsBank(sizeof(K) * 8, keys.data(), oids.data(), n, scratch,
-                         &stats);
+        SortPairsBank(sizeof(K) * 8, keys.data(), oids.data(), n, scratch);
         CheckEquivalent(original, keys, oids);
-        // Every merge step emits one element; full compares are a subset.
-        EXPECT_LE(stats.full_compares, stats.emitted);
       }
       // Counting (only at feasible widths).
       if (CountingSortFeasible(width)) {
@@ -196,9 +192,8 @@ void RunParallelKernels(int width, int threads, uint64_t seed) {
         auto keys = original;
         std::vector<uint32_t> oids(n);
         std::iota(oids.begin(), oids.end(), 0);
-        OvcSortStats stats;
-        ParallelOvcSortPairsBank(sizeof(K) * 8, keys.data(), oids.data(), n,
-                                 pool, scratches, nullptr, &stats);
+        ParallelSortPairsBank(sizeof(K) * 8, keys.data(), oids.data(), n,
+                              pool, scratches, nullptr);
         CheckEquivalent(original, keys, oids);
       }
       if (CountingSortFeasible(width)) {
@@ -232,8 +227,8 @@ TEST(SortKernelsParallelTest, CancellationMidRoundUnwinds) {
     auto keys = MakeKeys<uint32_t>(Pattern::kRandom, n, 32, 9);
     std::vector<uint32_t> oids(n);
     std::iota(oids.begin(), oids.end(), 0);
-    ParallelOvcSortPairsBank(32, keys.data(), oids.data(), n, pool, scratches,
-                             &ctx, nullptr);
+    ParallelSortPairsBank(32, keys.data(), oids.data(), n, pool, scratches,
+                          &ctx);
     for (uint32_t oid : oids) ASSERT_LT(oid, n);
   }
   {
@@ -256,7 +251,6 @@ TEST(SortKernelsParallelTest, CancellationMidRoundUnwinds) {
                                       {&c2, SortOrder::kAscending}};
   MultiColumnSorter sorter(&pool);
   MassagePlan plan = MassagePlan::ColumnAtATime({14, 14});
-  plan.mutable_round(0)->kernel = SortKernel::kOvcMerge;
   plan.mutable_round(1)->kernel = SortKernel::kCounting;
   const auto result = sorter.Sort(inputs, plan, ctx);
   EXPECT_EQ(result.status.code, StatusCode::kCancelled);
@@ -268,18 +262,34 @@ TEST(KernelMaskTest, ParseKernelMask) {
             KernelBit(SortKernel::kSimdMerge));
   EXPECT_EQ(ParseKernelMask("simd", fallback),
             KernelBit(SortKernel::kSimdMerge));
-  EXPECT_EQ(ParseKernelMask("ovc", fallback),
-            KernelBit(SortKernel::kOvcMerge));
   EXPECT_EQ(ParseKernelMask("counting", fallback),
             KernelBit(SortKernel::kCounting));
-  EXPECT_EQ(ParseKernelMask("radix", fallback), KernelBit(SortKernel::kRadix));
-  EXPECT_EQ(ParseKernelMask("merge,ovc", fallback),
-            KernelBit(SortKernel::kSimdMerge) | KernelBit(SortKernel::kOvcMerge));
-  EXPECT_EQ(ParseKernelMask(" ovc , counting ", fallback),
-            KernelBit(SortKernel::kOvcMerge) | KernelBit(SortKernel::kCounting));
+  EXPECT_EQ(ParseKernelMask(" merge , counting ", fallback), kRoutableKernels);
   // Unknown / empty input keeps the fallback rather than masking everything.
   EXPECT_EQ(ParseKernelMask("", fallback), fallback);
   EXPECT_EQ(ParseKernelMask("bogus", fallback), fallback);
+  // The in-memory OVC merge and radix kernels were removed: their names
+  // must not silently mean "all kernels" — each unknown token is named in
+  // one warning, and the rest of the list still applies.
+  for (const char* retired : {"ovc", "radix"}) {
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(ParseKernelMask(retired, fallback), fallback);
+    const std::string warning = testing::internal::GetCapturedStderr();
+    EXPECT_NE(warning.find(std::string("'") + retired + "'"),
+              std::string::npos)
+        << warning;
+    EXPECT_EQ(std::count(warning.begin(), warning.end(), '\n'), 1)
+        << warning;
+  }
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(ParseKernelMask("merge,ovc", fallback),
+            KernelBit(SortKernel::kSimdMerge));
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("'ovc'"),
+            std::string::npos);
+  // Known spellings parse without a warning.
+  testing::internal::CaptureStderr();
+  ParseKernelMask("merge,counting", fallback);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 
 // --- End-to-end kernel equivalence through the executor -------------------
@@ -289,9 +299,7 @@ TEST(KernelMaskTest, ParseKernelMask) {
 // annotation — the CI kernel matrix runs this binary that way.
 bool EnvForcedKernel(SortKernel* out) {
   const SortKernelMask mask = KernelMaskFromEnv(0);
-  for (SortKernel kernel :
-       {SortKernel::kSimdMerge, SortKernel::kRadix, SortKernel::kOvcMerge,
-        SortKernel::kCounting}) {
+  for (SortKernel kernel : {SortKernel::kSimdMerge, SortKernel::kCounting}) {
     if (mask == KernelBit(kernel)) {
       *out = kernel;
       return true;
@@ -357,9 +365,7 @@ TEST(KernelEndToEndTest, AllKernelsProduceIdenticalSorts) {
     const MassagePlan base = MassagePlan::ColumnAtATime(inst.Widths());
     MultiColumnSortResult reference;
     bool have_reference = false;
-    for (SortKernel kernel :
-         {SortKernel::kSimdMerge, SortKernel::kOvcMerge, SortKernel::kCounting,
-          SortKernel::kRadix}) {
+    for (SortKernel kernel : {SortKernel::kSimdMerge, SortKernel::kCounting}) {
       MassagePlan plan = base;
       for (size_t j = 0; j < plan.num_rounds(); ++j) {
         plan.mutable_round(j)->kernel = kernel;
@@ -397,24 +403,6 @@ TEST(KernelEndToEndTest, ForcedCountingOnWideRoundDegradesToMerge) {
   EXPECT_EQ(result.rounds[0].kernel, expected);
 }
 
-TEST(KernelEndToEndTest, OvcRoundsRecordCounters) {
-  // One 16-bit round over >1 run of rows: the OVC merge must run and its
-  // counters must land in the profile, with full compares a strict subset
-  // of merge steps on random data.
-  SortKernel forced;
-  if (EnvForcedKernel(&forced) && forced != SortKernel::kOvcMerge) {
-    GTEST_SKIP() << "MCSORT_KERNELS forces a non-OVC kernel";
-  }
-  Instance inst = MakeInstance({16}, 50000, 41, uint64_t{1} << 16);
-  MultiColumnSorter sorter;
-  MassagePlan plan = MassagePlan::ColumnAtATime(inst.Widths());
-  plan.mutable_round(0)->kernel = SortKernel::kOvcMerge;
-  const auto result = sorter.Sort(inst.Inputs(), plan);
-  ASSERT_TRUE(result.status.ok());
-  EXPECT_GT(result.rounds[0].ovc_emitted, 0u);
-  EXPECT_LT(result.rounds[0].ovc_full_compares, result.rounds[0].ovc_emitted);
-}
-
 // --- Snapshot load paths --------------------------------------------------
 
 class TempDir {
@@ -437,7 +425,7 @@ class TempDir {
 
 TEST(KernelSnapshotTest, KernelsAgreeAcrossBufferedAndMmapLoads) {
   // Sort the same saved table through every kernel under both load paths;
-  // all eight results must be Lemma-1 identical.
+  // all four results must be Lemma-1 identical.
   const size_t rows = 20000;
   Instance inst = MakeInstance({12, 8}, rows, 51, 1 << 8);
   Table table;
@@ -466,8 +454,7 @@ TEST(KernelSnapshotTest, KernelsAgreeAcrossBufferedAndMmapLoads) {
     std::vector<MassageInput> inputs = {
         {&loaded.column("a"), SortOrder::kAscending},
         {&loaded.column("b"), SortOrder::kAscending}};
-    for (SortKernel kernel : {SortKernel::kSimdMerge, SortKernel::kOvcMerge,
-                              SortKernel::kCounting, SortKernel::kRadix}) {
+    for (SortKernel kernel : {SortKernel::kSimdMerge, SortKernel::kCounting}) {
       MultiColumnSorter sorter;
       MassagePlan plan = MassagePlan::ColumnAtATime({12, 8});
       for (size_t j = 0; j < plan.num_rounds(); ++j) {
