@@ -14,7 +14,6 @@
 #define MCSORT_BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
-#include <cstdlib>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -39,6 +38,12 @@ using mcsort::EnvU64;  // shared with the service layer (common/env.h)
 inline uint64_t EnvRows() { return EnvU64("MCSORT_N", uint64_t{1} << 21); }
 inline int EnvReps() { return static_cast<int>(EnvU64("MCSORT_REPS", 3)); }
 
+// Workload scale factor: MCSORT_SF if set and positive, else 0.1.
+inline double ScaleFromEnv() {
+  const double sf = EnvDouble("MCSORT_SF", 0.1);
+  return sf > 0 ? sf : 0.1;
+}
+
 // Worker-count ceiling for the thread-scaling benches: MCSORT_THREADS if
 // set, else the detected core count. The pool itself is real either way —
 // on a single-core container the override still exercises every parallel
@@ -58,8 +63,7 @@ inline std::vector<int> ThreadSweep(int limit) {
 
 // Calibrated (or default) cost-model parameters, computed once.
 inline const CostParams& BenchParams() {
-  const char* skip = std::getenv("MCSORT_CALIBRATE");
-  if (skip != nullptr && std::string(skip) == "0") {
+  if (EnvStr("MCSORT_CALIBRATE", "") == "0") {
     static const CostParams kDefault = CostParams::Default();
     return kDefault;
   }

@@ -13,7 +13,7 @@
 int main() {
   using namespace mcsort;
   WorkloadOptions wopts;
-  wopts.scale = ScaleFromEnv();
+  wopts.scale = bench::ScaleFromEnv();
   std::printf("Figure 1 reproduction: TPC-H (SF %.3g), column-at-a-time\n"
               "(no code massaging), ByteSlice scans + WideTables.\n\n",
               wopts.scale);

@@ -44,7 +44,7 @@ void RunWorkload(const Workload& workload, const CostParams& params) {
 int main() {
   using namespace mcsort;
   WorkloadOptions wopts;
-  wopts.scale = ScaleFromEnv();
+  wopts.scale = bench::ScaleFromEnv();
   std::printf("Figure 8 reproduction: multi-column sorting speedup with code\n"
               "massaging (SF %.3g). Paper: 1.8X (real Q4) to 5.5X (TPC-H "
               "Q2).\n",

@@ -17,7 +17,7 @@
 int main() {
   using namespace mcsort;
   WorkloadOptions wopts;
-  wopts.scale = ScaleFromEnv();
+  wopts.scale = bench::ScaleFromEnv();
   const CostParams& params = bench::BenchParams();
   const CostModel model(params);
 

@@ -9,10 +9,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "mcsort/common/bits.h"
 #include "mcsort/common/cpu_info.h"
 #include "mcsort/common/random.h"
@@ -32,11 +32,7 @@ namespace {
 // Worker count for the BM_Parallel* benches: MCSORT_THREADS if set, else
 // max(4, cores) so the parallel code paths run even on a 1-core container.
 int BenchThreads() {
-  if (const char* env = std::getenv("MCSORT_THREADS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return std::max(4, CpuInfo::Get().num_cores);
+  return bench::EnvThreads(std::max(4, CpuInfo::Get().num_cores));
 }
 
 template <typename K>

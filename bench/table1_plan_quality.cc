@@ -132,7 +132,7 @@ void RunWorkload(const Workload& workload, const CostModel& model,
 int main() {
   using namespace mcsort;
   WorkloadOptions wopts;
-  wopts.scale = ScaleFromEnv();
+  wopts.scale = bench::ScaleFromEnv();
   const uint64_t plan_cap = bench::EnvU64("MCSORT_PLAN_CAP", 150);
   const CostParams& params = bench::BenchParams();
   const CostModel model(params);

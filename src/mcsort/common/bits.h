@@ -43,9 +43,6 @@ constexpr int MinBankForWidth(int w) {
   return 64;
 }
 
-// Returns true if a b-bit bank can hold a w-bit code.
-constexpr bool BankHolds(int bank, int w) { return w <= bank; }
-
 // Number of bits needed to represent values in [0, v] (at least 1).
 constexpr int BitsForValue(uint64_t v) {
   int bits = 1;
@@ -58,13 +55,6 @@ constexpr int BitsForValue(uint64_t v) {
 // not representable).
 constexpr int BitsForCount(uint64_t n) {
   return n <= 1 ? 1 : BitsForValue(n - 1);
-}
-
-// Ceil(log2(x)) for x >= 1.
-constexpr int CeilLog2(uint64_t x) {
-  int bits = 0;
-  while ((uint64_t{1} << bits) < x) ++bits;
-  return bits;
 }
 
 // Extracts bits [hi, lo] (inclusive, hi >= lo, 0-based from LSB) of `code`.

@@ -87,7 +87,7 @@ class FaultInjector {
   // third round boundary. Unrecognized spellings yield a disabled
   // injector.
   static FaultInjector FromString(const char* spec);
-  // FromString(getenv("MCSORT_FAULT")); disabled when unset.
+  // FromString of the MCSORT_FAULT variable; disabled when unset.
   static FaultInjector FromEnv();
 
   bool enabled() const { return kind_ != Kind::kNone; }

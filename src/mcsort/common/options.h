@@ -2,7 +2,7 @@
 // soup is parsed. Binaries call ExecOptions::FromEnv() /
 // ServerOptions::FromEnv() exactly once at startup and pass the structs
 // down; library code takes the structs (or the narrower per-layer options
-// built from them) and never reads getenv itself.
+// built from them) and never reads the environment itself.
 //
 // Knob spellings (all optional; defaults are the struct initializers):
 //

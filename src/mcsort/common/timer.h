@@ -28,7 +28,6 @@ class Timer {
                                                              start_)
             .count());
   }
-  double Millis() const { return Seconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;

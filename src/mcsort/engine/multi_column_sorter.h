@@ -94,6 +94,7 @@ class MultiColumnSorter {
   MultiColumnSortResult SortColumnAtATime(
       const std::vector<MassageInput>& inputs);
 
+ private:
   // Sorts every non-singleton segment of `keys` in place, permuting the
   // matching `oids` range, with round kernel `kernel` (subject to the
   // MCSORT_KERNELS forcing described above; a counting kernel on a round
@@ -102,16 +103,13 @@ class MultiColumnSorter {
   // huge ones run the kernel's cooperative parallel sorter, mid-size ones
   // are claimed dynamically as morsels of segments, and tiny
   // (insertion-sort-sized) ones ride in large morsels to amortize
-  // dispatch. Public so the pipeline interpreter
-  // shares one executor with the bulk path. A stoppable `ctx` stops
-  // between segments / morsels / merge chunks; the caller re-checks ctx
-  // and discards the round on a stop.
+  // dispatch. A stoppable `ctx` stops between segments / morsels / merge
+  // chunks; the caller re-checks ctx and discards the round on a stop.
   void SortSegments(int bank, SortKernel kernel, EncodedColumn* keys,
                     Oid* oids, const Segments& segments,
                     RoundProfile* profile,
                     const ExecContext* ctx = nullptr);
 
- private:
   ThreadPool* pool_;
   // Set when MCSORT_KERNELS names exactly one kernel: forced everywhere.
   std::optional<SortKernel> env_kernel_;

@@ -24,6 +24,14 @@ EncodedColumn EncodeValues(const std::vector<int64_t>& values) {
   return EncodeDomain(native).codes;
 }
 
+int WidestBank(const MassagePlan& plan) {
+  int widest = 0;
+  for (const Round& round : plan.rounds()) {
+    widest = std::max(widest, round.bank);
+  }
+  return widest;
+}
+
 }  // namespace
 
 QueryExecutor::QueryExecutor(const Table& table, const ExecutorOptions& options)
@@ -95,43 +103,11 @@ size_t QueryExecutor::EstimatePlanScratchBytes(const MassagePlan& plan,
 
 ExecResult QueryExecutor::Execute(const QuerySpec& spec,
                                   const ExecContext& ctx) {
-  int bank_cap = 0;  // 0 = unrestricted
-  bool key_too_wide = false;  // sticky across degrade retries
-  for (;;) {
-    ExecResult attempt = ExecuteOnce(spec, ctx, bank_cap);
-    // A rejected spill arm (key over the 128-bit merge cap) on any attempt
-    // must survive into the final result even when a narrower re-plan
-    // succeeds — it explains why the query degraded instead of spilling.
-    key_too_wide = key_too_wide || attempt.result.spill_key_too_wide;
-    attempt.result.spill_key_too_wide = key_too_wide;
-    if (attempt.status.code != StatusCode::kResourceExhausted ||
-        !options_.use_massage) {
-      return attempt;
-    }
-    // Graceful degradation: halve the widest bank the failed attempt used
-    // (floor 16 bits — every total width fits at 16) and re-plan. The cap
-    // strictly decreases, so the loop runs at most twice past 64-bit
-    // plans. At the floor there is nothing narrower to try: fail for real.
-    int widest = 0;
-    for (const Round& round : attempt.result.plan.rounds()) {
-      widest = std::max(widest, round.bank);
-    }
-    if (bank_cap > 0) widest = std::min(widest, bank_cap);
-    if (widest <= 16) return attempt;
-    bank_cap = std::max(16, widest / 2);
-    ctx.ClearResourceFault();  // consume an injected allocation failure
-  }
-}
-
-ExecResult QueryExecutor::ExecuteOnce(const QuerySpec& spec,
-                                      const ExecContext& ctx, int bank_cap) {
   const PlanHint* hint = ctx.hint();
   const bool stoppable = ctx.stoppable();
   ExecResult out;
   QueryResult& result = out.result;
   result.input_rows = table_.row_count();
-  result.degraded = bank_cap > 0;
-  result.bank_cap = bank_cap;
   // Phase-boundary stop check: partial payloads stay in the result (their
   // timings are real) but callers must discard them on a non-ok status.
   const auto stopped = [&]() {
@@ -196,184 +172,194 @@ ExecResult QueryExecutor::ExecuteOnce(const QuerySpec& spec,
   if (stopped()) return out;
 
   // ------------------------------------------------------------------
-  // 3. Plan search (ROGA on the calibrated model) or baseline P0.
+  // 3. Plan, admit, sort — one pass over the materialized columns. Each
+  //    attempt plans (ROGA on the calibrated model, a usable hint, or the
+  //    baseline P0), routes an over-budget plan to spill or to a narrower
+  //    plan, and sorts. Graceful degradation never re-runs steps 1-2: the
+  //    router hands its already-searched narrow plan to the next attempt,
+  //    and an in-sort kResourceExhausted (an injected allocation failure)
+  //    halves the bank cap (floor 16 bits) and re-plans. The cap strictly
+  //    decreases, so there are at most three attempts.
   // ------------------------------------------------------------------
-  std::vector<int> order(attrs.names.size());
-  std::iota(order.begin(), order.end(), 0);
   std::vector<int> widths;
   for (const EncodedColumn* col : sort_column_ptrs) {
     widths.push_back(col->width());
   }
   int total_width = 0;
   for (int w : widths) total_width += w;
-  MassagePlan plan = MassagePlan::ColumnAtATime(widths);
-  if (options_.use_massage) {
-    // Exact cached-plan reuse: a width-compatible hint skips ROGA (and its
-    // stats lookups) entirely — the plan-cache hit path of the service. A
-    // degraded re-execution only honors the hint if it fits the bank cap.
-    bool hint_usable =
-        hint != nullptr && hint->plan != nullptr && hint->plan->IsValid() &&
-        hint->plan->total_width() == total_width &&
-        hint->column_order != nullptr &&
-        hint->column_order->size() == attrs.names.size();
-    if (hint_usable && bank_cap > 0) {
-      for (const Round& round : hint->plan->rounds()) {
-        if (round.bank > bank_cap) {
-          hint_usable = false;
-          break;
-        }
+  const auto search_options = [&](int max_bank) {
+    SearchOptions search;
+    search.rho = options_.rho;
+    search.min_budget_seconds = options_.min_budget_seconds;
+    search.permute_columns = attrs.permute_prefix > 1;
+    search.permute_prefix = attrs.permute_prefix;
+    search.max_bank = max_bank;
+    search.ctx = stoppable ? &ctx : nullptr;
+    return search;
+  };
+  // Exact cached-plan reuse: a width-compatible hint skips ROGA (and its
+  // stats lookups) entirely — the plan-cache hit path of the service.
+  bool hint_usable =
+      options_.use_massage && hint != nullptr && hint->plan != nullptr &&
+      hint->plan->IsValid() && hint->plan->total_width() == total_width &&
+      hint->column_order != nullptr &&
+      hint->column_order->size() == attrs.names.size();
+  if (hint_usable) {
+    std::vector<bool> seen(attrs.names.size(), false);
+    for (int idx : *hint->column_order) {
+      if (idx < 0 || static_cast<size_t>(idx) >= seen.size() ||
+          seen[static_cast<size_t>(idx)]) {
+        hint_usable = false;
+        break;
       }
+      seen[static_cast<size_t>(idx)] = true;
     }
-    if (hint_usable) {
-      std::vector<bool> seen(attrs.names.size(), false);
-      for (int idx : *hint->column_order) {
-        if (idx < 0 || static_cast<size_t>(idx) >= seen.size() ||
-            seen[static_cast<size_t>(idx)]) {
-          hint_usable = false;
-          break;
-        }
-        seen[static_cast<size_t>(idx)] = true;
-      }
-    }
-    if (hint_usable) {
+  }
+
+  int bank_cap = 0;  // 0 = unrestricted
+  MassagePlan plan;
+  std::vector<int> order;
+  // Plans the next attempt under bank cap `cap`: the baseline P0, the hint
+  // (a degraded attempt honors it only if it fits the cap), or ROGA.
+  const auto plan_under = [&](int cap) {
+    bank_cap = cap;
+    if (!options_.use_massage) {
+      plan = MassagePlan::ColumnAtATime(widths);
+      order.resize(attrs.names.size());
+      std::iota(order.begin(), order.end(), 0);
+    } else if (hint_usable && (cap == 0 || WidestBank(*hint->plan) <= cap)) {
       plan = *hint->plan;
       order = *hint->column_order;
     } else {
       timer.Restart();
-      SortInstanceStats stats;
-      stats.n = n;
-      stats.merge_fan_in = spec.merge_fan_in;
-      for (const std::string& name : attrs.names) {
-        stats.columns.push_back(&table_.stats(name));
-      }
-      SearchOptions search;
-      search.rho = options_.rho;
-      search.min_budget_seconds = options_.min_budget_seconds;
-      search.permute_columns = attrs.permute_prefix > 1;
-      search.permute_prefix = attrs.permute_prefix;
-      search.max_bank = bank_cap;
-      search.ctx = stoppable ? &ctx : nullptr;
-      if (hint != nullptr) {
-        search.warm_start = hint->warm_start;
-        search.warm_start_order = hint->warm_start_order;
-      }
-      const SearchResult found = RogaSearch(model_, stats, search);
-      plan = found.plan;
-      order = found.column_order;
-      result.plan_seconds = timer.Seconds();
+      SearchResult found =
+          RogaSearch(model_, InstanceStats(spec, n), search_options(cap));
+      plan = std::move(found.plan);
+      order = std::move(found.column_order);
+      result.plan_seconds += timer.Seconds();
     }
-  }
-  result.plan = plan;
-  result.column_order = order;
-  if (stopped()) return out;
-
+  };
+  plan_under(0);
   std::vector<MassageInput> inputs;
-  for (int idx : order) {
-    inputs.push_back({sort_column_ptrs[static_cast<size_t>(idx)],
-                      attrs.orders[static_cast<size_t>(idx)]});
-  }
+  MultiColumnSortResult sorted;
+  for (;;) {
+    result.plan = plan;
+    result.column_order = order;
+    result.degraded = bank_cap > 0;
+    result.bank_cap = bank_cap;
+    if (stopped()) return out;
 
-  // Scratch admission against the context's soft budget. An over-budget
-  // plan has two ways out, cost-routed here:
-  //   * degrade-by-narrowing: fail with kResourceExhausted so Execute's
-  //     loop re-plans under a halved bank cap (shrinks scratch, keeps the
-  //     sort in memory);
-  //   * spill: slice the input into budget-sized runs, sort each in
-  //     memory under the SAME plan, and merge the run files externally
-  //     (sort/external/) — bit-identical output, bounded scratch.
-  // The router compares ROGA's estimate of the best narrowed plan against
-  // the current plan plus the calibrated spill surcharge
-  // (CostModel::SpillCycles), and spills when that arm is cheaper or when
-  // no narrower plan exists.
-  size_t spill_slice_rows = 0;
-  if (ctx.scratch_budget_bytes() > 0 &&
-      EstimatePlanScratchBytes(plan, n) > ctx.scratch_budget_bytes()) {
-    const size_t per_row = EstimatePlanScratchBytes(plan, 1);
-    const size_t slice_rows =
-        per_row > 0 ? ctx.scratch_budget_bytes() / per_row : 0;
-    const bool key_fits = external::CanExternalSort(inputs);
-    const bool spill_viable =
-        options_.spill.enabled && slice_rows > 0 && slice_rows < n;
-    bool spill = spill_viable && key_fits;
-    // The spill arm was viable except for the key width: flag it instead
-    // of silently degrading, so operators can see why the budget knob
-    // stopped helping on wide-key workloads.
-    result.spill_key_too_wide = spill_viable && !key_fits;
-    if (spill && options_.use_massage) {
-      int widest = 0;
-      for (const Round& round : plan.rounds()) {
-        widest = std::max(widest, round.bank);
-      }
-      if (widest > 16) {
+    inputs.clear();
+    for (int idx : order) {
+      inputs.push_back({sort_column_ptrs[static_cast<size_t>(idx)],
+                        attrs.orders[static_cast<size_t>(idx)]});
+    }
+    // The next narrower cap, or 0 when nothing narrower exists (16-bit
+    // banks hold every total width) or the baseline plan is fixed.
+    const int widest = WidestBank(plan);
+    const int narrower = options_.use_massage && widest > 16 ? widest / 2 : 0;
+
+    // Scratch admission against the context's soft budget. An over-budget
+    // plan has two ways out, cost-routed here:
+    //   * degrade-by-narrowing: re-plan under a halved bank cap (shrinks
+    //     scratch, keeps the sort in memory);
+    //   * spill: slice the input into budget-sized runs, sort each in
+    //     memory under the SAME plan, and merge the run files externally
+    //     (sort/external/) — bit-identical output, bounded scratch.
+    // The router compares ROGA's estimate of the best narrowed plan against
+    // the current plan plus the calibrated spill surcharge
+    // (CostModel::SpillCycles), and spills when that arm is cheaper or when
+    // no narrower plan exists.
+    size_t spill_slice_rows = 0;
+    if (ctx.scratch_budget_bytes() > 0 &&
+        EstimatePlanScratchBytes(plan, n) > ctx.scratch_budget_bytes()) {
+      const size_t per_row = EstimatePlanScratchBytes(plan, 1);
+      const size_t slice_rows =
+          per_row > 0 ? ctx.scratch_budget_bytes() / per_row : 0;
+      const bool key_fits = external::CanExternalSort(inputs);
+      const bool spill_viable =
+          options_.spill.enabled && slice_rows > 0 && slice_rows < n;
+      // The spill arm was viable except for the key width: flag it instead
+      // of silently degrading, so operators can see why the budget knob
+      // stopped helping on wide-key workloads.
+      if (spill_viable && !key_fits) result.spill_key_too_wide = true;
+      if (spill_viable && key_fits && narrower > 0) {
         // Both arms are live: cost them. The spill arm's in-memory part is
         // the current plan (each slice sorts under it); the degrade arm is
-        // the best plan under the halved cap.
+        // the best plan under the halved cap, which becomes the next
+        // attempt's plan if it wins.
         timer.Restart();
-        SortInstanceStats stats = InstanceStats(spec, n);
-        SearchOptions search;
-        search.rho = options_.rho;
-        search.min_budget_seconds = options_.min_budget_seconds;
-        search.permute_columns = attrs.permute_prefix > 1;
-        search.permute_prefix = attrs.permute_prefix;
-        search.max_bank = std::max(16, widest / 2);
-        search.ctx = stoppable ? &ctx : nullptr;
-        const SearchResult narrow = RogaSearch(model_, stats, search);
+        const SortInstanceStats stats = InstanceStats(spec, n);
+        SearchResult narrow =
+            RogaSearch(model_, stats, search_options(narrower));
         const size_t num_runs = (n + slice_rows - 1) / slice_rows;
         const double spill_cycles =
             model_.EstimateCycles(plan, stats) +
             model_.SpillCycles(n, static_cast<int>(num_runs), total_width);
         result.plan_seconds += timer.Seconds();
         if (narrow.plan.IsValid() && narrow.estimated_cycles < spill_cycles) {
-          spill = false;
+          bank_cap = narrower;
+          plan = std::move(narrow.plan);
+          order = std::move(narrow.column_order);
+          continue;
         }
       }
+      if (!spill_viable || !key_fits) {
+        if (narrower > 0) {
+          plan_under(narrower);
+          continue;
+        }
+        out.status = Status::ResourceExhausted(
+            result.spill_key_too_wide
+                ? "composite sort key is " + std::to_string(total_width) +
+                      " bits; external merge caps at 128 — "
+                      "degrade-by-narrowing only"
+                : "plan scratch estimate over budget");
+        return out;
+      }
+      spill_slice_rows = slice_rows;
     }
-    if (!spill) {
-      out.status = Status::ResourceExhausted(
-          result.spill_key_too_wide
-              ? "composite sort key is " + std::to_string(total_width) +
-                    " bits; external merge caps at 128 — "
-                    "degrade-by-narrowing only"
-              : "plan scratch estimate over budget");
-      return out;
-    }
-    spill_slice_rows = slice_rows;
-  }
-  if (stopped()) return out;
+    if (stopped()) return out;
 
-  // ------------------------------------------------------------------
-  // 4. Multi-column sorting (the paper's highlighted phase) — in memory,
-  //    or through run files when the admission router chose to spill.
-  // ------------------------------------------------------------------
-  timer.Restart();
-  MultiColumnSortResult sorted;
-  if (spill_slice_rows > 0) {
-    external::ExternalSortOptions ext_options;
-    ext_options.dir = options_.spill.dir;
-    ext_options.slice_rows = spill_slice_rows;
-    ext_options.block_rows = options_.spill.block_rows;
-    ext_options.prefetch = options_.spill.prefetch;
-    ext_options.io_threads = options_.spill.io_threads;
-    external::ExternalSorter ext(&sorter_, ext_options);
-    external::ExternalSortResult spilled = ext.Sort(inputs, plan, ctx);
-    result.spilled = true;
-    result.spill_runs = spilled.num_runs;
-    result.spill_bytes = spilled.run_bytes;
-    result.spill_run_gen_seconds = spilled.run_gen_seconds;
-    result.spill_merge_seconds = spilled.merge_seconds;
-    sorted.status = std::move(spilled.status);
-    sorted.oids = std::move(spilled.oids);
-    sorted.groups = std::move(spilled.groups);
-  } else {
-    sorted = sorter_.Sort(inputs, plan, ctx);
-  }
-  // The paper's accounting: only sorts over MULTIPLE attributes count as
-  // multi-column sorting; a single-attribute sort (e.g. Q13's GROUP BY on
-  // one column) is "single-column sorting" and belongs to the rest bucket.
-  if (attrs.names.size() > 1) {
-    result.mcs_seconds = timer.Seconds();
-  } else {
-    result.post_seconds += timer.Seconds();
+    // Multi-column sorting (the paper's highlighted phase) — in memory, or
+    // through run files when the admission router chose to spill.
+    timer.Restart();
+    if (spill_slice_rows > 0) {
+      external::ExternalSortOptions ext_options;
+      ext_options.dir = options_.spill.dir;
+      ext_options.slice_rows = spill_slice_rows;
+      ext_options.block_rows = options_.spill.block_rows;
+      ext_options.prefetch = options_.spill.prefetch;
+      ext_options.io_threads = options_.spill.io_threads;
+      external::ExternalSorter ext(&sorter_, ext_options);
+      external::ExternalSortResult spilled = ext.Sort(inputs, plan, ctx);
+      result.spilled = true;
+      result.spill_runs = spilled.num_runs;
+      result.spill_bytes = spilled.run_bytes;
+      result.spill_run_gen_seconds = spilled.run_gen_seconds;
+      result.spill_merge_seconds = spilled.merge_seconds;
+      sorted.status = std::move(spilled.status);
+      sorted.oids = std::move(spilled.oids);
+      sorted.groups = std::move(spilled.groups);
+    } else {
+      sorted = sorter_.Sort(inputs, plan, ctx);
+    }
+    // The paper's accounting: only sorts over MULTIPLE attributes count as
+    // multi-column sorting; a single-attribute sort (e.g. Q13's GROUP BY on
+    // one column) is "single-column sorting" and belongs to the rest
+    // bucket.
+    if (attrs.names.size() > 1) {
+      result.mcs_seconds += timer.Seconds();
+    } else {
+      result.post_seconds += timer.Seconds();
+    }
+    if (sorted.status.code == StatusCode::kResourceExhausted &&
+        narrower > 0) {
+      ctx.ClearResourceFault();  // consume an injected allocation failure
+      plan_under(narrower);
+      continue;
+    }
+    break;
   }
   if (!sorted.status.ok()) {
     out.status = sorted.status;
@@ -382,18 +368,20 @@ ExecResult QueryExecutor::ExecuteOnce(const QuerySpec& spec,
   }
   result.num_groups = sorted.groups.count();
 
-  // Base-table oids in output order (compose with the filter's oid list).
-  result.result_oids.resize(n);
+  // Base-table oids in output order: the sort permutation itself, or its
+  // composition with the filter's oid list (the permutation is then dead).
   if (has_filter) {
+    result.result_oids.resize(n);
     for (uint64_t r = 0; r < n; ++r) {
       result.result_oids[r] = filtered_oids[sorted.oids[r]];
     }
+    std::vector<Oid>().swap(sorted.oids);
   } else {
-    result.result_oids.assign(sorted.oids.begin(), sorted.oids.end());
+    result.result_oids = std::move(sorted.oids);
   }
 
   // ------------------------------------------------------------------
-  // 5. Post-processing: aggregation / window rank / result ordering.
+  // 4. Post-processing: aggregation / window rank / result ordering.
   // ------------------------------------------------------------------
   timer.Restart();
   std::vector<AggregateResult> agg_results;
@@ -447,7 +435,7 @@ ExecResult QueryExecutor::ExecuteOnce(const QuerySpec& spec,
   }
 
   // ------------------------------------------------------------------
-  // 6. Result ordering over the aggregated groups (e.g. Q13/Q16's ORDER
+  // 5. Result ordering over the aggregated groups (e.g. Q13/Q16's ORDER
   //    BY over GROUP BY output): itself a (small) multi-column sort.
   // ------------------------------------------------------------------
   if (!spec.result_order.empty()) {

@@ -147,14 +147,6 @@ class QuerySpecBuilder {
     spec_.result_order.push_back({std::move(key), order});
     return *this;
   }
-  QuerySpecBuilder& FixedColumnOrder(bool fixed = true) {
-    spec_.fixed_column_order = fixed;
-    return *this;
-  }
-  QuerySpecBuilder& MergeFanIn(int fan_in) {
-    spec_.merge_fan_in = fan_in;
-    return *this;
-  }
 
   QuerySpec Build() const { return spec_; }
 
@@ -174,7 +166,8 @@ struct QueryResult {
   double mcs_seconds = 0;          // multi-column sorting (all instances)
   double post_seconds = 0;         // aggregation, ranking, decode
 
-  // The main sort's chosen plan and column order.
+  // The main sort's chosen plan and column order, and its profile. The
+  // profile's permutation is not kept: result_oids holds the sort order.
   MassagePlan plan;
   std::vector<int> column_order;
   MultiColumnSortResult sort_profile;
@@ -183,6 +176,7 @@ struct QueryResult {
   // re-planned with a bank cap because the unrestricted plan's scratch
   // estimate exceeded the context's budget (or an allocation fault was
   // injected). `bank_cap` is the cap (bits) the final plan honored.
+  // plan_seconds and mcs_seconds sum over every attempt.
   // Degraded results are bit-identical on the Lemma-1 invariants (group
   // bounds, sorted key order) — only the scratch footprint shrinks.
   bool degraded = false;
@@ -263,11 +257,6 @@ struct PlanHint {
   // attributes.
   const MassagePlan* plan = nullptr;
   const std::vector<int>* column_order = nullptr;
-  // Warm start: still search, but seed P* with this plan (see
-  // SearchOptions::warm_start). Used when a cached plan went stale from
-  // statistics drift but is likely still near-optimal.
-  const MassagePlan* warm_start = nullptr;
-  const std::vector<int>* warm_start_order = nullptr;
 };
 
 // StatusOr-style outcome of one execution. On a non-ok status the
@@ -289,11 +278,12 @@ class QueryExecutor {
   // small, sampled-stats result-ordering sort always plans locally).
   //
   // Cancellation / deadline expiry / injected faults unwind at the next
-  // morsel / merge-chunk / round boundary with a typed status. When the
-  // scratch estimate for the chosen plan exceeds ctx.scratch_budget_bytes()
-  // (or an allocation fault fires), the executor degrades gracefully:
-  // ROGA re-plans under a halved bank cap (floor 16 bits) and the sort is
-  // retried — see QueryResult::degraded.
+  // morsel / merge-chunk / round boundary with a typed status. Scans and
+  // lookups run once; plan, admission and sort then loop. When the chosen
+  // plan's scratch estimate exceeds ctx.scratch_budget_bytes(), the router
+  // either spills or takes the best plan under a halved bank cap (floor 16
+  // bits); an allocation fault inside the sort halves the cap and re-plans.
+  // See QueryResult::degraded and QueryResult::spilled.
   ExecResult Execute(const QuerySpec& spec, const ExecContext& ctx);
 
   // Scratch high-water estimate (bytes) for sorting `rows` rows under
@@ -321,12 +311,6 @@ class QueryExecutor {
   SortAttrs ResolveSortAttrs(const QuerySpec& spec) const;
 
  private:
-  // One attempt at `bank_cap` (0 = unrestricted). The public Execute wraps
-  // this in the degradation loop: kResourceExhausted with a wider-than-16
-  // bank plan halves the cap and retries.
-  ExecResult ExecuteOnce(const QuerySpec& spec, const ExecContext& ctx,
-                         int bank_cap);
-
   const Table& table_;
   ExecutorOptions options_;
   CostModel model_;

@@ -210,35 +210,6 @@ SearchResult RogaSearch(const CostModel& model, const SortInstanceStats& stats,
   state.best_order = identity;
   state.plans_costed = 1;
 
-  // Warm start from a cached plan: consider it immediately so the rho
-  // stopwatch budget is anchored by its (usually near-optimal) estimate.
-  if (options.warm_start != nullptr && options.warm_start->IsValid() &&
-      WithinBankCap(*options.warm_start, options.max_bank) &&
-      options.warm_start->total_width() == stats.total_width()) {
-    std::vector<int> warm_order = identity;
-    if (options.warm_start_order != nullptr &&
-        options.warm_start_order->size() == identity.size()) {
-      warm_order = *options.warm_start_order;
-    }
-    bool order_ok = true;
-    std::vector<bool> seen(warm_order.size(), false);
-    for (int idx : warm_order) {
-      if (idx < 0 || static_cast<size_t>(idx) >= warm_order.size() ||
-          seen[static_cast<size_t>(idx)]) {
-        order_ok = false;
-        break;
-      }
-      seen[static_cast<size_t>(idx)] = true;
-    }
-    if (order_ok) {
-      const SortInstanceStats permuted =
-          warm_order == identity ? stats : stats.Permuted(warm_order);
-      if (options.warm_start->total_width() == permuted.total_width()) {
-        state.Consider(*options.warm_start, permuted, warm_order);
-      }
-    }
-  }
-
   if (!options.permute_columns) {
     ExploreOrder(stats, identity, &state);
   } else {

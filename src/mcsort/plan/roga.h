@@ -47,14 +47,6 @@ struct SearchOptions {
   int permute_prefix = -1;
   // Safety cap on the round count explored (on top of Lemma 2).
   int max_rounds_cap = 12;
-  // Warm start (plan-cache reuse): when non-null and width-compatible with
-  // the instance, this plan (under `warm_start_order`, identity when null)
-  // is costed and seeds P* alongside P0 before the search. A good warm
-  // start shrinks the rho budget immediately, so re-planning after table
-  // statistics drift costs a fraction of a cold search. Borrowed pointers;
-  // must outlive the call.
-  const MassagePlan* warm_start = nullptr;
-  const std::vector<int>* warm_start_order = nullptr;
   // Bank-width cap in bits (0 = unrestricted): only plans whose rounds all
   // use banks <= max_bank are considered. The executor re-plans with a cap
   // when the unrestricted plan's scratch estimate exceeds the ExecContext's
@@ -62,7 +54,7 @@ struct SearchOptions {
   // Any width is feasible at the narrowest cap (16): rounds split the
   // concatenated bits at arbitrary boundaries, so the search seeds P* with
   // ceil(W / max_bank) rounds of max_bank bits instead of P0 when P0 would
-  // violate the cap. A non-compliant warm start is ignored.
+  // violate the cap.
   int max_bank = 0;
   // Cooperative stop: a stoppable context makes the search return its best
   // plan so far as soon as a cancellation / deadline / injected fault is

@@ -26,7 +26,6 @@ class BitVector {
   size_t size() const { return size_; }
 
   void SetAll();
-  void ClearAll() { words_.assign(words_.size(), 0); }
 
   bool Get(size_t i) const {
     MCSORT_DCHECK(i < size_);

@@ -55,7 +55,6 @@ PlanCache::Outcome PlanCache::Lookup(
     }
   }
   if (!fresh) {
-    if (out != nullptr) *out = std::move(cached);
     shard.lru.erase(it->second);
     shard.index.erase(it);
     stale_hits_.fetch_add(1, std::memory_order_relaxed);

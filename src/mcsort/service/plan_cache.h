@@ -7,8 +7,8 @@
 // independently locked LRU map, so concurrent sessions rarely contend.
 // Entries carry the statistics fingerprints they were planned against;
 // a lookup revalidates them and *invalidates* the entry once the table's
-// statistics have drifted past `drift_threshold` — the caller gets the
-// stale plan back as a warm start for the re-search.
+// statistics have drifted past `drift_threshold`; the caller then searches
+// afresh, exactly as on a miss.
 #ifndef MCSORT_SERVICE_PLAN_CACHE_H_
 #define MCSORT_SERVICE_PLAN_CACHE_H_
 
@@ -49,7 +49,7 @@ class PlanCache {
  public:
   enum class Outcome {
     kHit,          // fresh entry returned; skip the search
-    kStaleHit,     // drifted entry returned (and erased); warm-start the search
+    kStaleHit,     // drifted entry erased; search as on a miss
     kMiss,         // nothing cached; cold search
   };
 
@@ -74,8 +74,7 @@ class PlanCache {
   PlanCache& operator=(const PlanCache&) = delete;
 
   // Looks `signature` up and revalidates against `current` fingerprints.
-  // kHit / kStaleHit fill *out; kStaleHit additionally erases the entry
-  // (its plan is returned for warm starting).
+  // kHit fills *out; kStaleHit erases the entry and leaves *out alone.
   Outcome Lookup(const QuerySignature& signature,
                  const std::vector<StatsFingerprint>& current,
                  CachedPlan* out);

@@ -495,11 +495,6 @@ ExecResult QueryService::ExecuteOn(QuerySession* session,
       hint.plan = &cached.plan;
       hint.column_order = &cached.column_order;
       session->last_plan_cached_ = true;
-    } else if (outcome == PlanCache::Outcome::kStaleHit) {
-      // Statistics drifted past the threshold: re-search, but seed P*
-      // with the stale plan so the rho budget is anchored immediately.
-      hint.warm_start = &cached.plan;
-      hint.warm_start_order = &cached.column_order;
     }
     ExecContext exec_ctx = ctx;  // copies share the flag / fault cell
     exec_ctx.WithHint(&hint);

@@ -3,7 +3,8 @@
 // everything that is identical across repeated query instances:
 //
 //   * plan search: a sharded-LRU PlanCache keyed by query signature, with
-//     statistics-drift invalidation and warm-started re-search;
+//     statistics-drift invalidation (a drifted entry re-searches like a
+//     miss);
 //   * calibration: one shared CostModel for the whole process
 //     (cost/calibration.h, std::call_once);
 //   * hardware: one morsel-driven ThreadPool shared by all sessions

@@ -1,4 +1,4 @@
-// SIMD feature detection and shared constants.
+// SIMD feature detection.
 //
 // The paper targets AVX2 (S = 256-bit registers; banks b in {16, 32, 64}).
 // All kernels compile to scalar fallbacks when AVX2 is unavailable so the
@@ -12,15 +12,5 @@
 #else
 #define MCSORT_HAVE_AVX2 0
 #endif
-
-namespace mcsort {
-
-// SIMD register width in bits (the paper's S).
-inline constexpr int kSimdBits = 256;
-
-// Lanes per register for a given bank size b: S/b.
-constexpr int LanesForBank(int bank) { return kSimdBits / bank; }
-
-}  // namespace mcsort
 
 #endif  // MCSORT_SIMD_SIMD_H_

@@ -1,7 +1,5 @@
 #include "mcsort/workloads/workload.h"
 
-#include <cstdlib>
-
 #include "mcsort/common/logging.h"
 
 namespace mcsort {
@@ -12,13 +10,6 @@ const WorkloadQuery& Workload::query(const std::string& id) const {
   }
   MCSORT_CHECK(false && "unknown query id");
   __builtin_unreachable();
-}
-
-double ScaleFromEnv() {
-  const char* env = std::getenv("MCSORT_SF");
-  if (env == nullptr) return 0.1;
-  const double sf = std::atof(env);
-  return sf > 0 ? sf : 0.1;
 }
 
 }  // namespace mcsort

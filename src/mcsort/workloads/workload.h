@@ -39,8 +39,8 @@ struct Workload {
 
 struct WorkloadOptions {
   // Scale factor; 1.0 matches the paper's SF = 1 row counts (e.g. 6M
-  // lineitem-grain rows). Benchmarks default to a reduced SF via the
-  // MCSORT_SF environment variable.
+  // lineitem-grain rows). The benchmarks read a reduced SF from
+  // MCSORT_SF (bench/bench_util.h).
   double scale = 0.1;
   // Zipf skew (TPC-H skew uses z = 1 on the skewed columns).
   bool skew = false;
@@ -51,9 +51,6 @@ struct WorkloadOptions {
 Workload MakeTpch(const WorkloadOptions& options);
 Workload MakeTpcds(const WorkloadOptions& options);
 Workload MakeAirline(const WorkloadOptions& options);
-
-// Scale factor from the MCSORT_SF environment variable (default 0.1).
-double ScaleFromEnv();
 
 }  // namespace mcsort
 

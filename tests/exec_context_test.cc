@@ -21,7 +21,7 @@
 #include "mcsort/common/thread_pool.h"
 #include "mcsort/common/timer.h"
 #include "mcsort/cost/cost_model.h"
-#include "mcsort/engine/pipeline.h"
+#include "mcsort/engine/multi_column_sorter.h"
 #include "mcsort/engine/query.h"
 #include "mcsort/plan/roga.h"
 #include "mcsort/service/query_service.h"
@@ -265,27 +265,6 @@ TEST(CancellationTest, RogaSearchReturnsBestSoFarOnStop) {
   EXPECT_TRUE(result.plan.IsValid());
 }
 
-TEST(CancellationTest, PipelineInterpreterStopsAtInstructionBoundary) {
-  const size_t n = 100'000;
-  Rng rng(8);
-  EncodedColumn k1(12, n), k2(14, n);
-  for (size_t r = 0; r < n; ++r) {
-    k1.Set(r, rng.NextBounded(1u << 12));
-    k2.Set(r, rng.NextBounded(1u << 14));
-  }
-  std::vector<MassageInput> inputs = {{&k1, SortOrder::kAscending},
-                                      {&k2, SortOrder::kAscending}};
-  const std::vector<Instruction> pipeline = ColumnAtATimePipeline({12, 14});
-
-  CancellationSource source;
-  source.Cancel();
-  ExecContext ctx;
-  ctx.WithToken(source.token());
-  const MultiColumnSortResult result =
-      ExecutePipeline(pipeline, inputs, nullptr, ctx);
-  EXPECT_EQ(result.status.code, StatusCode::kCancelled);
-}
-
 // --------------------------------------------------------------------------
 // Fault injection + graceful degradation
 // --------------------------------------------------------------------------
@@ -351,42 +330,54 @@ TEST(DegradationTest, ScratchBudgetForcesNarrowPlanWithIdenticalResults) {
   ExecutorOptions options;
   options.pool = &pool;
   QueryExecutor executor(table, options);
-  const QuerySpec spec = FourColumnOrderBy();
+  // The unfiltered spec sorts the base columns and returns the sort
+  // permutation itself; the filtered one sorts gathered columns, so the
+  // retried sort's permutation is composed with the filter's oid list.
+  const QuerySpec filtered = QuerySpecBuilder()
+                                 .Filter("d", CompareOp::kLess, 3000)
+                                 .OrderBy("a")
+                                 .OrderBy("b")
+                                 .OrderBy("c")
+                                 .OrderBy("d")
+                                 .Build();
+  for (const QuerySpec& spec : {FourColumnOrderBy(), filtered}) {
+    SCOPED_TRACE(spec.filters.empty() ? "unfiltered" : "filtered");
+    const ExecResult baseline = executor.Execute(spec, ExecContext::Default());
+    ASSERT_TRUE(baseline.ok());
 
-  const ExecResult baseline = executor.Execute(spec, ExecContext::Default());
-  ASSERT_TRUE(baseline.ok());
+    // Pin the wide plan via hint; pick a budget that the 64-bank plan's
+    // estimate exceeds but a 32-capped plan can satisfy.
+    const MassagePlan wide({{63, 64}});
+    const std::vector<int> identity = {0, 1, 2, 3};
+    PlanHint hint;
+    hint.plan = &wide;
+    hint.column_order = &identity;
+    const size_t n = baseline.result.filtered_rows;
+    const size_t wide_bytes = QueryExecutor::EstimatePlanScratchBytes(wide, n);
+    const MassagePlan capped({{32, 32}, {31, 32}});
+    const size_t capped_bytes =
+        QueryExecutor::EstimatePlanScratchBytes(capped, n);
+    ASSERT_LT(capped_bytes, wide_bytes);
+    ExecContext ctx;
+    ctx.WithHint(&hint);
+    ctx.WithScratchBudget((capped_bytes + wide_bytes) / 2);
 
-  // Pin the wide plan via hint; pick a budget that the 64-bank plan's
-  // estimate exceeds but a 32-capped plan can satisfy.
-  const MassagePlan wide({{63, 64}});
-  const std::vector<int> identity = {0, 1, 2, 3};
-  PlanHint hint;
-  hint.plan = &wide;
-  hint.column_order = &identity;
-  const size_t n = table.row_count();
-  const size_t wide_bytes = QueryExecutor::EstimatePlanScratchBytes(wide, n);
-  const MassagePlan capped({{32, 32}, {31, 32}});
-  const size_t capped_bytes =
-      QueryExecutor::EstimatePlanScratchBytes(capped, n);
-  ASSERT_LT(capped_bytes, wide_bytes);
-  ExecContext ctx;
-  ctx.WithHint(&hint);
-  ctx.WithScratchBudget((capped_bytes + wide_bytes) / 2);
-
-  const ExecResult run = executor.Execute(spec, ctx);
-  ASSERT_TRUE(run.ok()) << run.status.name();
-  EXPECT_TRUE(run.result.degraded);
-  // The first halving gives cap 32; a second (if the 32-capped plan still
-  // overshoots) gives 16 — either way the cap and estimate must hold.
-  EXPECT_GE(run.result.bank_cap, 16);
-  EXPECT_LE(run.result.bank_cap, 32);
-  for (const Round& round : run.result.plan.rounds()) {
-    EXPECT_LE(round.bank, run.result.bank_cap);
+    const ExecResult run = executor.Execute(spec, ctx);
+    ASSERT_TRUE(run.ok()) << run.status.name();
+    EXPECT_TRUE(run.result.degraded);
+    // The first halving gives cap 32; a second (if the 32-capped plan
+    // still overshoots) gives 16 — either way the cap and estimate must
+    // hold.
+    EXPECT_GE(run.result.bank_cap, 16);
+    EXPECT_LE(run.result.bank_cap, 32);
+    for (const Round& round : run.result.plan.rounds()) {
+      EXPECT_LE(round.bank, run.result.bank_cap);
+    }
+    EXPECT_LE(QueryExecutor::EstimatePlanScratchBytes(run.result.plan, n),
+              (capped_bytes + wide_bytes) / 2);
+    ExpectLemma1Identical(table, run.result, baseline.result,
+                          {"a", "b", "c", "d"});
   }
-  EXPECT_LE(QueryExecutor::EstimatePlanScratchBytes(run.result.plan, n),
-            (capped_bytes + wide_bytes) / 2);
-  ExpectLemma1Identical(table, run.result, baseline.result,
-                        {"a", "b", "c", "d"});
 }
 
 TEST(DegradationTest, UnsatisfiableBudgetFailsWithResourceExhausted) {
