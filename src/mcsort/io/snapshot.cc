@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "mcsort/common/bits.h"
+#include "mcsort/common/crc32c.h"
 #include "mcsort/common/mmap_file.h"
 #include "mcsort/io/fs_util.h"
 #include "mcsort/net/wire.h"
@@ -25,7 +26,6 @@
 
 namespace mcsort {
 
-using net::Crc32c;
 using net::WireReader;
 using net::WireWriter;
 

@@ -416,22 +416,32 @@ TableOpResult McsortClient::LoadTable(const std::string& table) {
 
 DmlResult McsortClient::ExecuteDml(const delta::DmlCommand& cmd) {
   DmlResult result;
-  if (fd_ < 0) return result;
-  const uint64_t id = NextRequestId();
-  if (!SendFrame(FrameType::kDml, id, EncodeDml(cmd))) {
+  const auto transport_failure = [&](std::string detail) {
     FailTransport();
+    result.error_detail = std::move(detail);
+    return result;
+  };
+  if (fd_ < 0) {
+    result.error_detail = "not connected";
     return result;
   }
+  const uint64_t id = NextRequestId();
+  errno = 0;
+  if (!SendFrame(FrameType::kDml, id, EncodeDml(cmd))) {
+    return transport_failure(std::string("send failed: ") +
+                             std::strerror(errno));
+  }
   Frame frame;
+  errno = 0;
   if (!ReadReply(id, &frame)) {
-    FailTransport();
-    return result;
+    return transport_failure(
+        errno != 0 ? std::string("no reply: ") + std::strerror(errno)
+                   : "no reply: connection closed by the server");
   }
   if (frame.type() == FrameType::kError) {
     ErrorInfo info;
     if (!DecodeError(frame.payload, &info)) {
-      FailTransport();
-      return result;
+      return transport_failure("malformed ERROR reply");
     }
     result.transport_ok = true;
     result.error = info.code;
@@ -440,8 +450,7 @@ DmlResult McsortClient::ExecuteDml(const delta::DmlCommand& cmd) {
   }
   if (frame.type() != FrameType::kDmlReply ||
       !DecodeDmlReply(frame.payload, &result.reply)) {
-    FailTransport();
-    return result;
+    return transport_failure("malformed DML reply");
   }
   result.transport_ok = true;
   return result;

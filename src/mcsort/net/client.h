@@ -94,7 +94,8 @@ struct TableOpResult {
 // server answered with a DML_REPLY (transport_ok && error == kNone);
 // op-level rejections (unknown table, bad column list) come back as typed
 // ERROR frames and land in `error`. Row-level INSERT rejections ride in
-// reply.row_errors with the command still partially applied.
+// reply.row_errors with the command still partially applied. When the
+// transport failed (!transport_ok), `error_detail` says how.
 struct DmlResult {
   bool transport_ok = false;
   ErrorCode error = ErrorCode::kNone;  // kNone when the server replied

@@ -1,20 +1,51 @@
 #include "mcsort/net/frame_io.h"
 
-#include <cerrno>
 #include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
+
+#include "mcsort/common/crc32c.h"
 
 namespace mcsort {
 namespace net {
 
-FrameAssembler::Next FrameAssembler::Pull(Frame* frame, ErrorCode* error,
-                                          bool* fatal) {
-  // Compact once the consumed prefix dominates, so long-lived connections
-  // don't grow the buffer without bound.
-  if (pos_ > 0 && (pos_ >= buffer_.size() || pos_ > 1 << 20)) {
-    buffer_.erase(0, pos_);
+void FrameAssembler::Append(const void* data, size_t n) {
+  std::memcpy(Reserve(n), data, n);
+  end_ += n;
+}
+
+ssize_t FrameAssembler::ReadFrom(int fd) {
+  char* out = Reserve(kReadChunk);
+  for (;;) {
+    const ssize_t got = ::read(fd, out, kReadChunk);
+    if (got < 0 && errno == EINTR) continue;
+    if (got > 0) end_ += static_cast<size_t>(got);
+    return got;
+  }
+}
+
+char* FrameAssembler::Reserve(size_t n) {
+  // Drop the consumed prefix when it is free (nothing left) or large, so a
+  // long-lived connection neither grows the buffer without bound nor slides
+  // a partial frame to the front on every read.
+  if (pos_ == end_) {
+    pos_ = end_ = 0;
+  } else if (pos_ > size_t{1} << 20) {
+    std::memmove(buffer_.data(), buffer_.data() + pos_, end_ - pos_);
+    end_ -= pos_;
     pos_ = 0;
   }
-  if (buffer_.size() - pos_ < kHeaderSize) return Next::kNeedMore;
+  if (buffer_.size() - end_ < n) {
+    buffer_.resize(std::max(end_ + n, 2 * buffer_.size()));
+  }
+  return buffer_.data() + end_;
+}
+
+FrameAssembler::Next FrameAssembler::Pull(Frame* frame, ErrorCode* error,
+                                          bool* fatal) {
+  if (end_ - pos_ < kHeaderSize) return Next::kNeedMore;
 
   const FrameHeader header = DecodeHeader(
       reinterpret_cast<const uint8_t*>(buffer_.data() + pos_));
@@ -34,7 +65,7 @@ FrameAssembler::Next FrameAssembler::Pull(Frame* frame, ErrorCode* error,
     *fatal = true;
     return Next::kBadFrame;
   }
-  if (buffer_.size() - pos_ < kHeaderSize + header.payload_len) {
+  if (end_ - pos_ < kHeaderSize + header.payload_len) {
     return Next::kNeedMore;
   }
   const char* payload = buffer_.data() + pos_ + kHeaderSize;
@@ -84,9 +115,7 @@ FrameAssembler::Next RecvFrame(int fd, FrameAssembler* assembler,
   for (;;) {
     const FrameAssembler::Next next = assembler->Pull(frame, error, fatal);
     if (next != FrameAssembler::Next::kNeedMore) return next;
-    std::string bytes;
-    if (!RecvSome(fd, &bytes)) return FrameAssembler::Next::kNeedMore;
-    assembler->Append(bytes.data(), bytes.size());
+    if (assembler->ReadFrom(fd) <= 0) return FrameAssembler::Next::kNeedMore;
   }
 }
 

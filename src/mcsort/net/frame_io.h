@@ -7,10 +7,13 @@
 // length: the length prefix can no longer be trusted, so the connection
 // must close after reporting the typed error).
 //
-// The blocking helpers below are the client/tool side; the server's epoll
-// loop uses the assembler directly over non-blocking reads.
+// Both ends read socket bytes straight into the assembler (ReadFrom): the
+// blocking helpers below are the client/tool side, and the server's epoll
+// loop calls ReadFrom on its non-blocking sockets.
 #ifndef MCSORT_NET_FRAME_IO_H_
 #define MCSORT_NET_FRAME_IO_H_
+
+#include <sys/types.h>
 
 #include <cstddef>
 #include <string>
@@ -33,9 +36,14 @@ class FrameAssembler {
       : max_payload_(max_payload < kMaxPayloadCap ? max_payload
                                                   : kMaxPayloadCap) {}
 
-  void Append(const void* data, size_t n) {
-    buffer_.append(static_cast<const char*>(data), n);
-  }
+  void Append(const void* data, size_t n);
+
+  // One read(2) of up to kReadChunk bytes from `fd` straight into the
+  // buffer, retrying EINTR. Returns what read(2) returned: the byte count,
+  // 0 at EOF, or -1 with errno set (EAGAIN on a drained non-blocking
+  // socket or an expired SO_RCVTIMEO).
+  static constexpr size_t kReadChunk = size_t{1} << 16;
+  ssize_t ReadFrom(int fd);
 
   enum class Next {
     kFrame,     // *frame holds the next complete frame
@@ -46,12 +54,18 @@ class FrameAssembler {
 
   // Bytes buffered but not yet consumed — nonzero means a frame is in
   // flight, which is what the server's stalled-read timeout watches.
-  size_t pending_bytes() const { return buffer_.size() - pos_; }
+  size_t pending_bytes() const { return end_ - pos_; }
 
  private:
+  // Room for `n` more bytes at end_, dropping the consumed prefix first.
+  char* Reserve(size_t n);
+
   size_t max_payload_;
+  // Bytes [pos_, end_) are buffered and unconsumed. The string's size is
+  // the capacity, so reads land in it without zero-filling each time.
   std::string buffer_;
-  size_t pos_ = 0;  // consumed prefix, compacted opportunistically
+  size_t pos_ = 0;
+  size_t end_ = 0;
 };
 
 // ---------------------------------------------------------------------------

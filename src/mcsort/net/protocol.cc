@@ -483,24 +483,29 @@ std::string EncodeSummaryChunk(const QueryResult& result) {
 }
 
 // Splits one array into data chunks of at most `chunk_bytes` element data.
+// Each frame is built once: the array bytes go straight behind a reserved
+// header, which SealFrameInPlace fills after checksumming them in place.
 template <typename T>
 void ChunkArray(ResultSection section, uint16_t index, const T* data,
                 size_t count, size_t chunk_bytes, uint64_t request_id,
                 bool is_final_section, std::vector<std::string>* frames) {
+  constexpr size_t kChunkPrefix = 1 + 2 + 4;  // section, index, count
   const size_t per_chunk = std::max<size_t>(1, chunk_bytes / sizeof(T));
   size_t offset = 0;
   do {
     const size_t n = std::min(per_chunk, count - offset);
-    std::string payload;
-    WireWriter w(&payload);
+    std::string frame;
+    frame.reserve(kHeaderSize + kChunkPrefix + n * sizeof(T));
+    frame.resize(kHeaderSize);
+    WireWriter w(&frame);
     w.U8(static_cast<uint8_t>(section));
     w.U16(index);
     WriteArraySlice(&w, data + offset, n);
     offset += n;
     const bool last = is_final_section && offset >= count;
-    frames->push_back(SealFrame(FrameType::kResult,
-                                last ? kFlagLastChunk : 0, request_id,
-                                payload));
+    SealFrameInPlace(FrameType::kResult, last ? kFlagLastChunk : 0,
+                     request_id, &frame);
+    frames->push_back(std::move(frame));
   } while (offset < count);
 }
 

@@ -505,21 +505,18 @@ void McsortServer::UpdateEpoll(const std::shared_ptr<Conn>& conn) {
 }
 
 void McsortServer::HandleReadable(const std::shared_ptr<Conn>& conn) {
-  char buf[1 << 16];
   for (;;) {
-    const ssize_t got = ::read(conn->fd, buf, sizeof(buf));
+    const ssize_t got = conn->assembler.ReadFrom(conn->fd);
     if (got > 0) {
-      conn->assembler.Append(buf, static_cast<size_t>(got));
       conn->last_activity = Clock::now();
       counters_->bytes_in->Add(static_cast<uint64_t>(got));
-      if (got < static_cast<ssize_t>(sizeof(buf))) break;
+      if (static_cast<size_t>(got) < FrameAssembler::kReadChunk) break;
       continue;
     }
     if (got == 0) {
       CloseConn(conn);
       return;
     }
-    if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     CloseConn(conn);
     return;

@@ -1,35 +1,9 @@
 #include "mcsort/net/wire.h"
 
+#include "mcsort/common/crc32c.h"
+
 namespace mcsort {
 namespace net {
-namespace {
-
-// Reflected CRC32C table, built once (thread-safe magic static).
-struct Crc32cTable {
-  uint32_t entries[256];
-  Crc32cTable() {
-    constexpr uint32_t kPoly = 0x82F63B78u;  // reflected 0x1EDC6F41
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc & 1) ? (crc >> 1) ^ kPoly : crc >> 1;
-      }
-      entries[i] = crc;
-    }
-  }
-};
-
-}  // namespace
-
-uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
-  static const Crc32cTable table;
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  uint32_t crc = ~seed;
-  for (size_t i = 0; i < n; ++i) {
-    crc = (crc >> 8) ^ table.entries[(crc ^ p[i]) & 0xFF];
-  }
-  return ~crc;
-}
 
 bool IsClientFrameType(uint8_t type) {
   switch (static_cast<FrameType>(type)) {
@@ -147,17 +121,25 @@ FrameHeader DecodeHeader(const uint8_t in[kHeaderSize]) {
 
 std::string SealFrame(FrameType type, uint16_t flags, uint64_t request_id,
                       const std::string& payload) {
+  std::string frame;
+  frame.reserve(kHeaderSize + payload.size());
+  frame.resize(kHeaderSize);
+  frame += payload;
+  SealFrameInPlace(type, flags, request_id, &frame);
+  return frame;
+}
+
+void SealFrameInPlace(FrameType type, uint16_t flags, uint64_t request_id,
+                      std::string* frame) {
+  const char* payload = frame->data() + kHeaderSize;
+  const size_t payload_len = frame->size() - kHeaderSize;
   FrameHeader header;
   header.type = static_cast<uint8_t>(type);
   header.flags = flags;
-  header.payload_len = static_cast<uint32_t>(payload.size());
-  header.payload_crc = Crc32c(payload.data(), payload.size());
+  header.payload_len = static_cast<uint32_t>(payload_len);
+  header.payload_crc = Crc32c(payload, payload_len);
   header.request_id = request_id;
-  std::string frame;
-  frame.resize(kHeaderSize);
-  EncodeHeader(header, reinterpret_cast<uint8_t*>(frame.data()));
-  frame += payload;
-  return frame;
+  EncodeHeader(header, reinterpret_cast<uint8_t*>(frame->data()));
 }
 
 void WireWriter::Str(const std::string& s) {

@@ -136,14 +136,17 @@ struct FrameHeader {
 void EncodeHeader(const FrameHeader& header, uint8_t out[kHeaderSize]);
 FrameHeader DecodeHeader(const uint8_t in[kHeaderSize]);
 
-// CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected), the payload
-// checksum. Software slice-by-one table; known-answer: Crc32c("123456789")
-// == 0xE3069283.
-uint32_t Crc32c(const void* data, size_t n, uint32_t seed = 0);
-
-// A complete frame ready to write: header (with computed CRC) + payload.
+// A complete frame ready to write: header (with the payload's CRC32C,
+// common/crc32c.h) + payload.
 std::string SealFrame(FrameType type, uint16_t flags, uint64_t request_id,
                       const std::string& payload);
+
+// Seals a frame built in place: `frame` holds kHeaderSize placeholder bytes
+// followed by the payload. Checksums the payload where it lies and writes
+// the header over the placeholder, so large payloads (RESULT chunks) are
+// never copied behind a header. Bytes are identical to SealFrame's.
+void SealFrameInPlace(FrameType type, uint16_t flags, uint64_t request_id,
+                      std::string* frame);
 
 // ---------------------------------------------------------------------------
 // Primitive codec. Little-endian; strings are u16 length + bytes.

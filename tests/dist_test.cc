@@ -28,6 +28,7 @@
 #include <unistd.h>
 
 #include "gtest/gtest.h"
+#include "mcsort/common/crc32c.h"
 #include "mcsort/common/random.h"
 #include "mcsort/dist/coordinator.h"
 #include "mcsort/dist/merge.h"
@@ -824,7 +825,7 @@ TEST(WireVersionTest, StaleProtocolVersionGetsTypedReject) {
   header.version = net::kMinProtocolVersion - 1;
   header.type = static_cast<uint8_t>(net::FrameType::kHello);
   header.payload_len = static_cast<uint32_t>(payload.size());
-  header.payload_crc = net::Crc32c(payload.data(), payload.size());
+  header.payload_crc = Crc32c(payload.data(), payload.size());
   header.request_id = 1;
   std::string frame;
   frame.resize(net::kHeaderSize);

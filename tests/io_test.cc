@@ -18,11 +18,11 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "mcsort/common/crc32c.h"
 #include "mcsort/common/random.h"
 #include "mcsort/engine/multi_column_sorter.h"
 #include "mcsort/io/csv_ingest.h"
 #include "mcsort/io/fs_util.h"
-#include "mcsort/net/wire.h"
 #include "mcsort/service/query_service.h"
 #include "mcsort/storage/table.h"
 
@@ -248,7 +248,7 @@ TEST(SnapshotTest, BadMagicVersionAndMissingDirAreTypedErrors) {
   const std::string dir = tmp.path() + "/junk";
   ASSERT_EQ(std::system(("mkdir -p '" + dir + "'").c_str()), 0);
   const auto write_manifest = [&](std::string body) {
-    const uint32_t crc = net::Crc32c(body.data(), body.size());
+    const uint32_t crc = Crc32c(body.data(), body.size());
     body.append(reinterpret_cast<const char*>(&crc), 4);
     WriteFile(dir + "/" + kSnapshotManifestFile, body);
   };

@@ -25,6 +25,7 @@
 #include <unistd.h>
 
 #include "gtest/gtest.h"
+#include "mcsort/common/crc32c.h"
 #include "mcsort/common/random.h"
 #include "mcsort/common/timer.h"
 #include "mcsort/net/client.h"
@@ -66,6 +67,55 @@ TEST(WireTest, Crc32cKnownAnswers) {
   const uint32_t whole = Crc32c(text.data(), text.size());
   const uint32_t prefix = Crc32c(text.data(), 10);
   EXPECT_EQ(Crc32c(text.data() + 10, text.size() - 10, prefix), whole);
+}
+
+// CRC32C straight from its definition, one bit at a time: the reference
+// the hardware loop and the table fallback must both reproduce.
+uint32_t BitwiseCrc32c(const uint8_t* p, size_t n) {
+  uint32_t crc = ~0u;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0x82F63B78u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
+std::vector<uint8_t> SeededBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.Next());
+  return bytes;
+}
+
+TEST(WireTest, Crc32cMatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Every start offset 0-7 and length 0-300 covers unaligned heads and
+  // every tail length behind the 8-byte steps.
+  const std::vector<uint8_t> bytes = SeededBytes(8 + 300, 21);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(Crc32c(bytes.data() + offset, len),
+                BitwiseCrc32c(bytes.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(WireTest, Crc32cMatchesBitwiseReferenceOnOneMiB) {
+  const std::vector<uint8_t> bytes = SeededBytes(size_t{1} << 20, 22);
+  EXPECT_EQ(Crc32c(bytes.data(), bytes.size()),
+            BitwiseCrc32c(bytes.data(), bytes.size()));
+}
+
+TEST(WireTest, Crc32cChainsAtEverySplitPoint) {
+  const std::vector<uint8_t> bytes = SeededBytes(1024, 23);
+  const uint32_t whole = Crc32c(bytes.data(), bytes.size());
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    const uint32_t head = Crc32c(bytes.data(), split);
+    ASSERT_EQ(Crc32c(bytes.data() + split, bytes.size() - split, head), whole)
+        << "split " << split;
+  }
 }
 
 TEST(WireTest, HeaderRoundTrip) {
@@ -138,6 +188,47 @@ TEST(WireTest, AssemblerBadMagicIsFatal) {
             FrameAssembler::Next::kBadFrame);
   EXPECT_EQ(error, ErrorCode::kMalformedFrame);
   EXPECT_TRUE(fatal);
+}
+
+TEST(WireTest, RecvFrameReadsLargeFramesStraightIntoTheAssembler) {
+  // 24 frames of 200 KiB (about 4.7 MiB) through a socket pair: each frame
+  // spans several 64 KiB reads, and the consumed prefix passes the 1 MiB
+  // point where the assembler slides a partial frame to the front.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::vector<std::string> payloads;
+  for (int i = 0; i < 24; ++i) {
+    const std::vector<uint8_t> bytes = SeededBytes(200 << 10, 100 + i);
+    payloads.emplace_back(bytes.begin(), bytes.end());
+  }
+  std::thread writer([&] {
+    for (size_t i = 0; i < payloads.size(); ++i) {
+      SendAll(fds[0], SealFrame(FrameType::kPong, 0, i, payloads[i]));
+    }
+    ::close(fds[0]);
+  });
+  FrameAssembler assembler;
+  Frame frame;
+  ErrorCode error;
+  bool fatal;
+  size_t received = 0;
+  while (received < payloads.size() &&
+         RecvFrame(fds[1], &assembler, &frame, &error, &fatal) ==
+             FrameAssembler::Next::kFrame) {
+    EXPECT_EQ(frame.header.request_id, received);
+    EXPECT_TRUE(frame.payload == payloads[received]) << "frame " << received;
+    ++received;
+  }
+  EXPECT_EQ(received, payloads.size());
+  // The writer closed its end: EOF with nothing buffered.
+  EXPECT_EQ(RecvFrame(fds[1], &assembler, &frame, &error, &fatal),
+            FrameAssembler::Next::kNeedMore);
+  EXPECT_EQ(assembler.pending_bytes(), 0u);
+  char drain[4096];  // unblocks the writer if a frame above went missing
+  while (::read(fds[1], drain, sizeof(drain)) > 0) {
+  }
+  writer.join();
+  ::close(fds[1]);
 }
 
 TEST(WireTest, AssemblerOversizedLengthIsFatal) {
@@ -294,6 +385,82 @@ TEST(ProtocolTest, ChunkedResultRoundTrip) {
   EXPECT_EQ(payload.ranks, result.ranks);
   EXPECT_EQ(payload.result_oids, result.result_oids);
   EXPECT_EQ(payload.result_group_order, result.result_group_order);
+}
+
+TEST(ProtocolTest, InPlaceResultFramesMatchSealedPayloads) {
+  QueryResult result;
+  result.input_rows = 5000;
+  result.filtered_rows = 5000;
+  result.num_groups = 1200;
+  result.aggregate_values.resize(1);
+  for (int i = 0; i < 1200; ++i) {
+    result.aggregate_values[0].push_back(int64_t{i} * -977);
+    result.result_group_order.push_back(1199 - i);
+  }
+  for (int i = 0; i < 5000; ++i) result.result_oids.push_back(i * 3 + 1);
+  ResultExtras extras;
+  extras.merge_key_hi.assign(1200, 0x0123456789ABCDEFull);
+  extras.global_oids.assign(5000, 42);
+
+  // A 1000-byte ceiling splits each section into several chunks, including
+  // a short last one.
+  constexpr size_t kChunkBytes = 1000;
+  std::vector<std::string> frames;
+  BuildResultFrames(9, result, kChunkBytes, &frames, &extras);
+
+  // The same stream the other way round: each chunk's payload assembled on
+  // its own, then copied behind a header by SealFrame.
+  std::vector<std::string> expected;
+  const auto sealed_chunks = [&](ResultSection section, const void* data,
+                                 size_t count, size_t elem, bool last) {
+    const size_t per_chunk = kChunkBytes / elem;
+    for (size_t offset = 0; offset < count; offset += per_chunk) {
+      const size_t n = std::min(per_chunk, count - offset);
+      std::string payload;
+      WireWriter w(&payload);
+      w.U8(static_cast<uint8_t>(section));
+      w.U16(0);
+      w.U32(static_cast<uint32_t>(n));
+      w.Bytes(static_cast<const char*>(data) + offset * elem, n * elem);
+      const bool end = last && offset + n == count;
+      expected.push_back(SealFrame(FrameType::kResult,
+                                   end ? kFlagLastChunk : 0, 9, payload));
+    }
+  };
+  sealed_chunks(ResultSection::kAggregateValues,
+                result.aggregate_values[0].data(), 1200, 8, false);
+  sealed_chunks(ResultSection::kResultOids, result.result_oids.data(), 5000,
+                4, false);
+  sealed_chunks(ResultSection::kGroupOrder, result.result_group_order.data(),
+                1200, 4, false);
+  sealed_chunks(ResultSection::kMergeKeyHi, extras.merge_key_hi.data(), 1200,
+                8, false);
+  sealed_chunks(ResultSection::kGlobalOids, extras.global_oids.data(), 5000,
+                4, true);
+
+  // Frame 0 is the summary; every data frame must match byte for byte.
+  ASSERT_EQ(frames.size(), expected.size() + 1);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(frames[i + 1], expected[i]) << "data frame " << i;
+  }
+
+  FrameAssembler assembler;
+  for (const std::string& f : frames) assembler.Append(f.data(), f.size());
+  ResultAssembler reassembled;
+  Frame frame;
+  ErrorCode error;
+  bool fatal;
+  while (assembler.Pull(&frame, &error, &fatal) ==
+         FrameAssembler::Next::kFrame) {
+    ASSERT_TRUE(reassembled.Consume(frame.payload, frame.last_chunk()));
+  }
+  ASSERT_TRUE(reassembled.done());
+  EXPECT_EQ(reassembled.result().aggregate_values, result.aggregate_values);
+  EXPECT_EQ(reassembled.result().result_oids, result.result_oids);
+  EXPECT_EQ(reassembled.result().result_group_order,
+            result.result_group_order);
+  EXPECT_EQ(reassembled.result().extras.merge_key_hi, extras.merge_key_hi);
+  EXPECT_EQ(reassembled.result().extras.global_oids, extras.global_oids);
 }
 
 TEST(ProtocolTest, ResultAssemblerRejectsMalformedChunks) {
@@ -655,6 +822,25 @@ TEST_F(NetServerTest, MetricsCountersMatchClientSideCounts) {
 // Robustness under load: cancel, deadline, connection caps, drain. These
 // use their own servers so cap/table sizes can differ from the fixture.
 // --------------------------------------------------------------------------
+
+TEST_F(NetServerTest, DmlAgainstAStoppedServerIsATransportFailure) {
+  auto client = Connect();
+  server_->Shutdown();
+  delta::DmlCommand cmd;
+  cmd.op = delta::DmlOp::kDelete;
+  cmd.table = "demo";
+  // The reply never comes: a transport failure that says so, not an
+  // ERROR code or a DML status.
+  const DmlResult dead = client->ExecuteDml(cmd);
+  EXPECT_FALSE(dead.transport_ok);
+  EXPECT_EQ(dead.error, ErrorCode::kNone);
+  EXPECT_NE(dead.error_detail.find("no reply"), std::string::npos)
+      << dead.error_detail;
+  EXPECT_FALSE(client->connected());
+  const DmlResult closed = client->ExecuteDml(cmd);
+  EXPECT_FALSE(closed.transport_ok);
+  EXPECT_EQ(closed.error_detail, "not connected");
+}
 
 class NetRobustnessTest : public ::testing::Test {
  protected:

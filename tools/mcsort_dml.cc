@@ -107,6 +107,11 @@ std::vector<delta::DmlValue> GenerateRow(const TableSchema& schema, Rng& rng) {
 bool SendDml(McsortClient& client, const delta::DmlCommand& cmd,
              uint64_t* affected) {
   const net::DmlResult result = client.ExecuteDml(cmd);
+  if (!result.transport_ok) {
+    std::fprintf(stderr, "mcsort_dml: %s failed: transport failure: %s\n",
+                 delta::DmlOpName(cmd.op), result.error_detail.c_str());
+    return false;
+  }
   if (!result.ok()) {
     std::fprintf(stderr, "mcsort_dml: %s failed: %s %s (status %u: %s)\n",
                  delta::DmlOpName(cmd.op), net::ErrorCodeName(result.error),
