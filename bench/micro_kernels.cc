@@ -110,9 +110,37 @@ void BM_CountingSortPairs32(benchmark::State& state) {
 BENCHMARK(BM_CountingSortPairs32)
     ->Args({1 << 16, 8})
     ->Args({1 << 16, 16})
+    ->Args({210000, 14})
+    ->Args({210000, 16})
     ->Args({1 << 20, 8})
     ->Args({1 << 20, 16})
     ->Args({1 << 20, 20});
+
+// The same rounds through the pool. At 210k rows and 14/16-bit keys (a
+// filtered GROUP BY round) the kernel routes to the serial one: below 64
+// rows per bucket the per-chunk histograms cost more than they save.
+void BM_ParallelCountingSortPairs32(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const int width = static_cast<int>(state.range(1));
+  const auto master = RandomKeys<uint32_t>(n, width, 29);
+  std::vector<uint32_t> keys(n), oids(n);
+  ThreadPool pool(BenchThreads());
+  std::vector<SortScratch> scratches(
+      static_cast<size_t>(pool.num_threads()));
+  for (auto _ : state) {
+    keys = master;
+    std::iota(oids.begin(), oids.end(), 0);
+    ParallelCountingSortPairsBank(32, keys.data(), oids.data(), n, width,
+                                  pool, scratches);
+    benchmark::DoNotOptimize(keys.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
+}
+BENCHMARK(BM_ParallelCountingSortPairs32)
+    ->Args({210000, 14})
+    ->Args({210000, 16})
+    ->Args({1 << 22, 8})
+    ->Args({1 << 22, 16});
 
 void BM_ParallelSortPairs16(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -1,6 +1,7 @@
 #include "mcsort/common/options.h"
 
 #include <cstdlib>
+#include <string>
 
 #include "mcsort/common/env.h"
 
@@ -50,6 +51,15 @@ ExecOptions ExecOptions::FromEnv() {
   options.compaction_min_rows =
       EnvU64("MCSORT_COMPACT_MIN_ROWS", options.compaction_min_rows);
   return options;
+}
+
+Status ExecOptions::Validate() const {
+  if (!(rho >= 0)) {  // also rejects NaN
+    return Status::InvalidArgument(
+        "MCSORT_RHO must be a non-negative number, got " +
+        std::to_string(rho));
+  }
+  return Status::Ok();
 }
 
 ServerOptions ServerOptions::FromEnv() {

@@ -33,6 +33,8 @@
 #include <cstdint>
 #include <string>
 
+#include "mcsort/common/status.h"
+
 namespace mcsort {
 
 // Engine-side configuration: pool sizing, planner knobs, the snapshot
@@ -40,8 +42,8 @@ namespace mcsort {
 struct ExecOptions {
   // Workers in the shared morsel-driven pool (MCSORT_THREADS).
   int threads = 1;
-  // ROGA time threshold (MCSORT_RHO, Appendix C's default 0.1%); <= 0
-  // disables the stopwatch.
+  // ROGA time threshold (MCSORT_RHO, Appendix C's default 0.1%); 0
+  // disables the stopwatch (ROGA's plan cap still bounds the search).
   double rho = 0.001;
   // Demo/bench table rows (MCSORT_N).
   uint64_t demo_rows = uint64_t{1} << 20;
@@ -77,6 +79,9 @@ struct ExecOptions {
   uint64_t compaction_min_rows = 1024;     // MCSORT_COMPACT_MIN_ROWS
 
   static ExecOptions FromEnv();
+  // InvalidArgument for a knob value no run may use: a negative or NaN
+  // rho.
+  Status Validate() const;
 };
 
 // Network front-end configuration shared by the server binary and the

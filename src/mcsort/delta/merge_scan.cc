@@ -132,7 +132,13 @@ void CopyLiveRuns(const EncodedColumn& src, const std::vector<OidRun>& runs,
 
 }  // namespace
 
-MergedTable BuildMergedTable(const Table& base, const DeltaSnapshot& snap) {
+size_t AppendCapacity(size_t rows) {
+  constexpr size_t kMinAppendRows = 1024;
+  return rows + std::max(kMinAppendRows, rows / 64);
+}
+
+MergedTable BuildMergedTable(const Table& base, const DeltaSnapshot& snap,
+                             bool oid_maps) {
   MergedTable out;
   const std::vector<std::string>& names = base.column_names();
   const size_t n_base = base.row_count();
@@ -141,31 +147,42 @@ MergedTable BuildMergedTable(const Table& base, const DeltaSnapshot& snap) {
   // Row layout: live base rows in oid order, then live delta rows in
   // arrival order. Deterministic, so scan-merge and compaction agree.
   const std::vector<OidRun> runs = LiveRuns(n_base, snap.base_tombstones);
-  out.new_oid_of_base.assign(n_base, kNoOid);
-  out.new_oid_of_delta.assign(n_delta, kNoOid);
+  if (oid_maps) out.new_oid_of_base.assign(n_base, kNoOid);
   uint32_t next_oid = 0;
   for (const OidRun& run : runs) {
-    for (size_t oid = run.begin; oid < run.end; ++oid) {
-      out.new_oid_of_base[oid] = next_oid++;
+    if (oid_maps) {
+      std::iota(out.new_oid_of_base.begin() + run.begin,
+                out.new_oid_of_base.begin() + run.end, next_oid);
     }
+    next_oid += static_cast<uint32_t>(run.end - run.begin);
   }
+  std::vector<uint32_t> new_oid_of_delta(n_delta, kNoOid);
   for (size_t r = 0; r < n_delta; ++r) {
     if (snap.row_dead.size() <= r || !snap.row_dead[r]) {
-      out.new_oid_of_delta[r] = next_oid++;
+      new_oid_of_delta[r] = next_oid++;
     }
   }
   const size_t n_live = next_oid;
 
-  // Every slot of a merged column is written (live base rows, then live
-  // delta rows), so allocation skips the zero fill.
-  const auto allocate = [n_live](int width) {
+  // Each column views a block with room to append (ExtendMergedTable).
+  // Every slot of the image is written (live base rows, then live delta
+  // rows), so the block is not zero-filled.
+  const size_t capacity = AppendCapacity(n_live);
+  const auto allocate = [&](int width) {
+    const PhysicalType type = PhysicalTypeForWidth(width);
+    auto block = std::make_shared<AppendBlock>(
+        capacity * static_cast<size_t>(BytesOfPhysicalType(type)), capacity,
+        n_live);
     EncodedColumn column;
-    column.ResetTyped(width, PhysicalTypeForWidth(width), n_live,
-                      /*zero_fill=*/false);
+    column.ResetView(width, type, n_live, block->data());
+    out.code_blocks.push_back(block);
+    out.table->PinResource(std::move(block));
     return column;
   };
 
   out.table = std::make_shared<Table>(n_live);
+  out.table->SetAppendCapacity(capacity);
+  out.dict_codes.resize(names.size());
   for (size_t c = 0; c < names.size(); ++c) {
     const std::string& name = names[c];
     const EncodedColumn& old_col = base.column(name);
@@ -192,7 +209,7 @@ MergedTable BuildMergedTable(const Table& base, const DeltaSnapshot& snap) {
                     [&remap](Code code) { return remap[code]; }, &merged_col);
       }
       for (size_t r = 0; r < n_delta; ++r) {
-        uint32_t dst = out.new_oid_of_delta[r];
+        uint32_t dst = new_oid_of_delta[r];
         if (dst == kNoOid) continue;
         const int64_t id = snap.rows[r][c];
         MCSORT_CHECK(id >= 0);
@@ -205,9 +222,17 @@ MergedTable BuildMergedTable(const Table& base, const DeltaSnapshot& snap) {
           merged_col.Set(dst, dm.new_code_of_ovf[ovf]);
         }
       }
+      if (!overflow.empty()) {
+        // Stored id -> merged code, for the appends of later reads.
+        auto codes =
+            std::make_shared<std::vector<Code>>(std::move(dm.new_code_of_dict));
+        codes->insert(codes->end(), dm.new_code_of_ovf.begin(),
+                      dm.new_code_of_ovf.end());
+        out.dict_codes[c] = std::move(codes);
+      }
       out.table->AddColumnParts(
           name, std::move(merged_col),
-          std::make_unique<StringDictionary>(
+          std::make_shared<const StringDictionary>(
               StringDictionary::FromSorted(std::move(dm.merged))),
           /*domain_base=*/0);
       continue;
@@ -220,14 +245,14 @@ MergedTable BuildMergedTable(const Table& base, const DeltaSnapshot& snap) {
     const uint64_t max_base_code = MaxLiveCode(old_col, runs);
     int64_t new_base = old_base;
     for (size_t r = 0; r < n_delta; ++r) {
-      if (out.new_oid_of_delta[r] == kNoOid) continue;
+      if (new_oid_of_delta[r] == kNoOid) continue;
       new_base = std::min(new_base, snap.rows[r][c]);
     }
     const uint64_t shift =
         static_cast<uint64_t>(old_base) - static_cast<uint64_t>(new_base);
     uint64_t max_rel = max_base_code + shift;
     for (size_t r = 0; r < n_delta; ++r) {
-      if (out.new_oid_of_delta[r] == kNoOid) continue;
+      if (new_oid_of_delta[r] == kNoOid) continue;
       const uint64_t rel = static_cast<uint64_t>(snap.rows[r][c]) -
                            static_cast<uint64_t>(new_base);
       max_rel = std::max(max_rel, rel);
@@ -241,14 +266,110 @@ MergedTable BuildMergedTable(const Table& base, const DeltaSnapshot& snap) {
                   [shift](Code code) { return code + shift; }, &merged_col);
     }
     for (size_t r = 0; r < n_delta; ++r) {
-      uint32_t dst = out.new_oid_of_delta[r];
+      uint32_t dst = new_oid_of_delta[r];
       if (dst == kNoOid) continue;
       merged_col.Set(dst, static_cast<uint64_t>(snap.rows[r][c]) -
                               static_cast<uint64_t>(new_base));
     }
     out.table->AddColumnParts(name, std::move(merged_col), nullptr, new_base);
   }
+  if (oid_maps) out.new_oid_of_delta = std::move(new_oid_of_delta);
   return out;
+}
+
+const char* MergeFallbackName(MergeFallback reason) {
+  switch (reason) {
+    case MergeFallback::kNone: return "none";
+    case MergeFallback::kNoImage: return "no_image";
+    case MergeFallback::kTombstone: return "tombstone";
+    case MergeFallback::kWidthOrBase: return "width_base";
+    case MergeFallback::kDictionary: return "dictionary";
+    case MergeFallback::kCapacity: return "capacity";
+  }
+  return "unknown";
+}
+
+MergeFallback ExtendMergedTable(const MergedTable& prev,
+                                const std::vector<std::vector<int64_t>>& rows,
+                                MergedTable* out) {
+  const Table& image = *prev.table;
+  const std::vector<std::string>& names = image.column_names();
+  const size_t n_prev = image.row_count();
+  const size_t n = n_prev + rows.size();
+  if (prev.code_blocks.size() != names.size()) return MergeFallback::kNoImage;
+  if (n > image.append_capacity()) return MergeFallback::kCapacity;
+
+  // Encode every value against the image first; a misfit writes nothing.
+  std::vector<Code> codes(rows.size() * names.size());
+  for (size_t c = 0; c < names.size(); ++c) {
+    const std::string& name = names[c];
+    const Code max_code = LowBitsMask(image.column(name).width());
+    const int64_t domain_base = image.domain_base(name);
+    const std::vector<Code>* dict_codes = prev.dict_codes[c].get();
+    const bool is_dict = image.HasDictionary(name);
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const int64_t value = rows[r][c];
+      Code code;
+      if (is_dict) {
+        MCSORT_CHECK(value >= 0);
+        const size_t id = static_cast<size_t>(value);
+        if (dict_codes != nullptr) {
+          if (id >= dict_codes->size()) return MergeFallback::kDictionary;
+          code = (*dict_codes)[id];
+        } else {
+          if (id >= image.dictionary(name).size()) {
+            return MergeFallback::kDictionary;
+          }
+          code = id;
+        }
+      } else {
+        if (value < domain_base) return MergeFallback::kWidthOrBase;
+        code = static_cast<uint64_t>(value) - static_cast<uint64_t>(domain_base);
+        if (code > max_code) return MergeFallback::kWidthOrBase;
+      }
+      codes[c * rows.size() + r] = code;
+    }
+  }
+  for (const auto& block : prev.code_blocks) {
+    if (!block->Claim(n_prev, n)) return MergeFallback::kCapacity;
+  }
+
+  MergedTable next;
+  next.table = std::make_shared<Table>(n);
+  next.table->SetAppendCapacity(image.append_capacity());
+  next.code_blocks = prev.code_blocks;
+  next.dict_codes = prev.dict_codes;
+  for (size_t c = 0; c < names.size(); ++c) {
+    const std::string& name = names[c];
+    const EncodedColumn& old_col = image.column(name);
+    AppendBlock& block = *prev.code_blocks[c];
+    EncodedColumn column;
+    column.ResetView(old_col.width(), old_col.type(), n, block.data());
+    VisitCodes(column, [&](auto* dst) {
+      using Out = std::remove_pointer_t<decltype(dst)>;
+      const Code* src = codes.data() + c * rows.size();
+      for (size_t r = 0; r < rows.size(); ++r) {
+        dst[n_prev + r] = static_cast<Out>(src[r]);
+      }
+    });
+    // Layouts prev never built stay lazy here too.
+    const ColumnStats* old_stats = image.cached_stats(name);
+    ColumnStats stats;
+    const bool has_stats =
+        old_stats != nullptr && old_stats->Extend(column, &stats);
+    const ByteSliceColumn* old_slices = image.cached_byteslice(name);
+    ByteSliceColumn slices;
+    const bool has_slices =
+        old_slices != nullptr && old_slices->Extend(column, &slices);
+    next.table->AddColumnParts(name, std::move(column),
+                               image.shared_dictionary(name),
+                               image.domain_base(name));
+    if (has_stats) next.table->SetStats(name, std::move(stats));
+    if (has_slices) next.table->SetByteSlice(name, std::move(slices));
+    next.table->PinResource(prev.code_blocks[c]);
+  }
+  *out = std::move(next);
+  return MergeFallback::kNone;
 }
 
 }  // namespace delta

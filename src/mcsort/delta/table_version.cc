@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "mcsort/common/logging.h"
+#include "mcsort/common/timer.h"
 
 namespace mcsort {
 namespace delta {
@@ -372,28 +373,99 @@ DeltaSnapshot TableVersion::CopySnapshotLocked() const {
   return snap;
 }
 
-std::shared_ptr<const Table> TableVersion::Snapshot() {
-  std::shared_ptr<const Table> base;
-  DeltaSnapshot snap;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
+TableVersion::DeltaPosition TableVersion::PositionLocked() const {
+  DeltaPosition pos;
+  pos.rows = delta_.row_count();
+  pos.base_tombstones = delta_.base_tombstones().size();
+  pos.delta_tombstones = delta_.delta_tombstones().size();
+  pos.overflow.resize(delta_.num_columns());
+  for (size_t c = 0; c < delta_.num_columns(); ++c) {
+    pos.overflow[c] = delta_.overflow_size(c);
+  }
+  pos.seq = delta_.mutation_seq();
+  return pos;
+}
+
+MergeFallback TableVersion::ExtendableLocked(const Head* head) const {
+  if (head == nullptr) return MergeFallback::kNoImage;
+  if (delta_.base_tombstones().size() != head->pos.base_tombstones ||
+      delta_.delta_tombstones().size() != head->pos.delta_tombstones) {
+    return MergeFallback::kTombstone;
+  }
+  // A new overflow string grows the merged dictionary, even when no live
+  // row holds it (an UPDATE that matched nothing interns its SET value).
+  for (size_t c = 0; c < delta_.num_columns(); ++c) {
+    if (delta_.overflow_size(c) != head->pos.overflow[c]) {
+      return MergeFallback::kDictionary;
+    }
+  }
+  return MergeFallback::kNone;
+}
+
+std::shared_ptr<const Table> TableVersion::Snapshot(MergeReport* report) {
+  MergeReport local;
+  MergeReport& out = report != nullptr ? *report : local;
+  out = MergeReport();
+  const auto resolved_locked = [&]() -> std::shared_ptr<const Table> {
     if (delta_.empty()) return base_;
-    if (merged_cache_ && merged_seq_ == delta_.mutation_seq()) {
-      return merged_cache_;
+    if (head_ != nullptr && head_->pos.seq == delta_.mutation_seq()) {
+      out.kind = MergeReport::Kind::kCached;
+      return head_->image.table;
     }
-    base = base_;
-    snap = CopySnapshotLocked();
-  }
-  MergedTable merged = BuildMergedTable(*base, snap);
-  std::shared_ptr<const Table> result = std::move(merged.table);
+    return nullptr;
+  };
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (base_ == base && delta_.mutation_seq() == snap.seq) {
-      merged_cache_ = result;
-      merged_seq_ = snap.seq;
-    }
+    if (auto table = resolved_locked()) return table;
   }
-  return result;
+  std::lock_guard<std::mutex> build(build_mu_);
+  for (;;) {
+    std::shared_ptr<const Head> head;
+    std::shared_ptr<const Table> base;
+    uint64_t epoch = 0;
+    auto next = std::make_shared<Head>();
+    MergeFallback reason = out.fallback;
+    std::vector<std::vector<int64_t>> rows;
+    DeltaSnapshot snap;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      // The build this reader waited for may be the one it needs.
+      if (auto table = resolved_locked()) return table;
+      head = head_;
+      base = base_;
+      epoch = epoch_;
+      next->pos = PositionLocked();
+      if (reason == MergeFallback::kNone) reason = ExtendableLocked(head.get());
+      if (reason == MergeFallback::kNone) {
+        rows.reserve(delta_.row_count() - head->pos.rows);
+        for (size_t r = head->pos.rows; r < delta_.row_count(); ++r) {
+          rows.push_back(delta_.row(r));
+        }
+      } else {
+        snap = CopySnapshotLocked();
+      }
+    }
+    Timer timer;
+    if (reason == MergeFallback::kNone) {
+      reason = ExtendMergedTable(head->image, rows, &next->image);
+      if (reason != MergeFallback::kNone) {
+        out.fallback = reason;  // retry as a full build
+        continue;
+      }
+      out.kind = MergeReport::Kind::kExtended;
+    } else {
+      next->image = BuildMergedTable(*base, snap, /*oid_maps=*/false);
+      out.kind = MergeReport::Kind::kFullBuild;
+      out.fallback = reason;
+    }
+    out.seconds = timer.Seconds();
+    std::shared_ptr<const Table> result = next->image.table;
+    std::lock_guard<std::mutex> lock(mu_);
+    // Even when writes arrived meanwhile, this image is the newest one
+    // built against base_: the next read extends it.
+    if (base_ == base && epoch_ == epoch) head_ = std::move(next);
+    return result;
+  }
 }
 
 TableVersion::CompactionJob TableVersion::BeginCompaction() {
@@ -461,11 +533,20 @@ bool TableVersion::Publish(const CompactionJob& job, MergedTable merged) {
     }
   }
 
-  base_ = std::move(merged.table);
+  // The compacted base starts the next chain of merged images at the
+  // fresh delta's start.
+  auto head = std::make_shared<Head>();
+  head->pos.overflow.assign(names.size(), 0);
+  merged.new_oid_of_base = {};
+  merged.new_oid_of_delta = {};
+  // The fresh delta stores dictionary ids against the merged dictionary
+  // itself: the id is the code.
+  merged.dict_codes.assign(names.size(), nullptr);
+  base_ = merged.table;
+  head->image = std::move(merged);
+  head_ = std::move(head);
   delta_ = std::move(fresh);
   ++epoch_;
-  merged_cache_.reset();
-  merged_seq_ = 0;
   return true;
 }
 
@@ -480,8 +561,7 @@ void TableVersion::ReplaceBase(std::shared_ptr<const Table> base,
     delta_ = DeltaStore(base_->column_names().size());
   }
   ++epoch_;
-  merged_cache_.reset();
-  merged_seq_ = 0;
+  head_.reset();
 }
 
 uint64_t TableVersion::epoch() const {

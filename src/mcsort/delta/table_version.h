@@ -6,8 +6,16 @@
 // itself when the delta is empty, else a cached merged image built by
 // merge_scan), so a query pins its snapshot for its whole run and never
 // observes a concurrent write or compaction. Writers serialize on the
-// version mutex; the heavy merge build runs OUTSIDE the mutex so readers
-// and writers only ever wait for O(delta) copies.
+// version mutex; the merge build runs OUTSIDE the mutex so readers and
+// writers only ever wait for O(delta) copies.
+//
+// Extend-or-rebuild (merge_scan.h). The version keeps the newest merged
+// image and the delta position it covers. When every mutation since is an
+// INSERT whose values fit that image, the next image appends the new rows
+// to it (ExtendMergedTable, O(new rows)); otherwise it is a full
+// BuildMergedTable. Builds are single-flight: readers that miss the cache
+// wait for the one build in progress instead of each building the image.
+// Publish restarts the chain from the compacted base.
 //
 // Compaction protocol (three phases, driven by the service):
 //   1. BeginCompaction()  — under the mutex, capture a delta prefix
@@ -45,10 +53,18 @@ class TableVersion {
   // duplicate / missing column, predicate type mismatch) apply nothing.
   DmlOutcome Apply(const DmlCommand& cmd);
 
+  // What one Snapshot() call did, for the service's delta.merge.* metrics.
+  struct MergeReport {
+    enum class Kind { kBase, kCached, kExtended, kFullBuild };
+    Kind kind = Kind::kBase;
+    MergeFallback fallback = MergeFallback::kNone;  // why a full build
+    double seconds = 0;  // the extend or full build, not the wait for it
+  };
+
   // The table image a query should run against: the base when the delta is
   // empty, else a merged image (cached per mutation_seq). Never blocks on
   // an in-flight compaction's heavy phase.
-  std::shared_ptr<const Table> Snapshot();
+  std::shared_ptr<const Table> Snapshot(MergeReport* report = nullptr);
 
   // --- compaction ---------------------------------------------------------
   struct CompactionJob {
@@ -96,14 +112,33 @@ class TableVersion {
   // overflow string).
   int64_t EncodeValueLocked(size_t col, const DmlValue& value);
 
+  // The delta prefix a merged image covers.
+  struct DeltaPosition {
+    size_t rows = 0;
+    size_t base_tombstones = 0;
+    size_t delta_tombstones = 0;
+    std::vector<size_t> overflow;  // per column
+    uint64_t seq = 0;
+  };
+  // The newest merged image built against base_, and its position.
+  struct Head {
+    MergedTable image;
+    DeltaPosition pos;
+  };
+  DeltaPosition PositionLocked() const;
+  // kNone when the delta since `head` holds only appended rows.
+  MergeFallback ExtendableLocked(const Head* head) const;
+
   mutable std::mutex mu_;
   std::shared_ptr<const Table> base_;
   DeltaStore delta_;
   uint64_t epoch_ = 0;
-  // Merged-image cache: valid while merged_seq_ == delta_.mutation_seq()
-  // and the base has not been swapped.
-  std::shared_ptr<const Table> merged_cache_;
-  uint64_t merged_seq_ = 0;
+  // Also the merged-image cache: valid while head_->pos.seq ==
+  // delta_.mutation_seq(). Reset when the base is swapped.
+  std::shared_ptr<const Head> head_;
+  // Held across a merged-image build (never under mu_), so one build runs
+  // at a time and head_ only ever grows from the newest image.
+  std::mutex build_mu_;
 };
 
 }  // namespace delta

@@ -216,6 +216,10 @@ ExecResult QueryExecutor::Execute(const QuerySpec& spec,
     }
   }
 
+  const auto count_search = [&result](const SearchResult& found) {
+    result.plans_costed += found.plans_costed;
+    result.search_truncated |= found.truncated;
+  };
   int bank_cap = 0;  // 0 = unrestricted
   MassagePlan plan;
   std::vector<int> order;
@@ -234,6 +238,7 @@ ExecResult QueryExecutor::Execute(const QuerySpec& spec,
       timer.Restart();
       SearchResult found =
           RogaSearch(model_, InstanceStats(spec, n), search_options(cap));
+      count_search(found);
       plan = std::move(found.plan);
       order = std::move(found.column_order);
       result.plan_seconds += timer.Seconds();
@@ -292,6 +297,7 @@ ExecResult QueryExecutor::Execute(const QuerySpec& spec,
         const SortInstanceStats stats = InstanceStats(spec, n);
         SearchResult narrow =
             RogaSearch(model_, stats, search_options(narrower));
+        count_search(narrow);
         const size_t num_runs = (n + slice_rows - 1) / slice_rows;
         const double spill_cycles =
             model_.EstimateCycles(plan, stats) +
@@ -484,7 +490,10 @@ ExecResult QueryExecutor::Execute(const QuerySpec& spec,
       search.min_budget_seconds = options_.min_budget_seconds;
       search.max_bank = bank_cap;  // degraded runs stay under the cap
       search.ctx = stoppable ? &ctx : nullptr;
-      order_plan = RogaSearch(model_, stats, search).plan;
+      SearchResult found = RogaSearch(model_, stats, search);
+      result.plans_costed += found.plans_costed;
+      result.search_truncated |= found.truncated;
+      order_plan = std::move(found.plan);
       result.plan_seconds += timer.Seconds();
     }
     timer.Restart();

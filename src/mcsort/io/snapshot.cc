@@ -300,9 +300,11 @@ std::string BuildByteSliceSection(const ByteSliceColumn& bs) {
   const size_t stride = RoundUp(slice_len, kSimdAlignment);
   std::string out;
   out.reserve(static_cast<size_t>(bs.num_slices()) * stride);
+  // Bytes past the last row are written as zeros, not read: an extended
+  // layout may share them (storage/byteslice.h).
   for (int j = 0; j < bs.num_slices(); ++j) {
-    out.append(reinterpret_cast<const char*>(bs.slice(j)), slice_len);
-    out.append(stride - slice_len, '\0');
+    out.append(reinterpret_cast<const char*>(bs.slice(j)), bs.size());
+    out.append(stride - bs.size(), '\0');
   }
   return out;
 }

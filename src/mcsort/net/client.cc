@@ -373,24 +373,34 @@ bool McsortClient::GetMetrics(std::string* text) {
 
 TableOpResult McsortClient::TableOp(FrameType type, const std::string& table) {
   TableOpResult result;
-  if (fd_ < 0) return result;
+  const auto transport_failure = [&](std::string detail) {
+    FailTransport();
+    result.error_detail = std::move(detail);
+    return result;
+  };
+  if (fd_ < 0) {
+    result.error_detail = "not connected";
+    return result;
+  }
   const uint64_t id = NextRequestId();
   TableOpRequest request;
   request.table = table;
+  errno = 0;
   if (!SendFrame(type, id, EncodeTableOp(request))) {
-    FailTransport();
-    return result;
+    return transport_failure(std::string("send failed: ") +
+                             std::strerror(errno));
   }
   Frame frame;
+  errno = 0;
   if (!ReadReply(id, &frame)) {
-    FailTransport();
-    return result;
+    return transport_failure(
+        errno != 0 ? std::string("no reply: ") + std::strerror(errno)
+                   : "no reply: connection closed by the server");
   }
   if (frame.type() == FrameType::kError) {
     ErrorInfo info;
     if (!DecodeError(frame.payload, &info)) {
-      FailTransport();
-      return result;
+      return transport_failure("malformed ERROR reply");
     }
     result.transport_ok = true;
     result.error = info.code;
@@ -399,8 +409,7 @@ TableOpResult McsortClient::TableOp(FrameType type, const std::string& table) {
   }
   if (frame.type() != FrameType::kTableOpReply ||
       !DecodeTableOpReply(frame.payload, &result.reply)) {
-    FailTransport();
-    return result;
+    return transport_failure("malformed TABLE_OP reply");
   }
   result.transport_ok = true;
   return result;

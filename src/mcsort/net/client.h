@@ -78,7 +78,8 @@ struct RemoteResult {
 
 // Outcome of a remote SAVE_TABLE / LOAD_TABLE. The server runs the
 // snapshot IO on a worker and answers with a TABLE_OP_REPLY (or a typed
-// ERROR, mapped into `error` here).
+// ERROR, mapped into `error` here). When the transport failed
+// (!transport_ok), `error_detail` says how.
 struct TableOpResult {
   bool transport_ok = false;
   ErrorCode error = ErrorCode::kNone;  // kNone when the server replied

@@ -40,6 +40,7 @@ struct SearchState {
   std::vector<int> best_order;
   size_t plans_costed = 0;
   bool timed_out = false;
+  bool truncated = false;
 
   // Line 6 of Algorithm 1: elapsed > rho * T_mcs(P*)? Also the search's
   // cooperative stop point: a cancellation / deadline / injected fault on
@@ -49,6 +50,10 @@ struct SearchState {
   bool TimeUp() {
     if (options->ctx != nullptr && options->ctx->StopRequested()) {
       timed_out = true;
+      return true;
+    }
+    if (plans_costed >= options->max_plans) {
+      truncated = true;
       return true;
     }
     if (options->rho <= 0) return false;
@@ -239,6 +244,7 @@ SearchResult RogaSearch(const CostModel& model, const SortInstanceStats& stats,
   result.plans_costed = state.plans_costed;
   result.search_seconds = state.stopwatch.Seconds();
   result.timed_out = state.timed_out;
+  result.truncated = state.truncated;
   return result;
 }
 

@@ -10,7 +10,9 @@
 //
 // A stopwatch bounds the whole search: once the elapsed time exceeds
 // rho * (estimated cost of the best plan so far) the search returns — the
-// optimizer must never become the bottleneck (Sec. 5, Appendix C).
+// optimizer must never become the bottleneck (Sec. 5, Appendix C). A
+// deterministic cap on the plans costed bounds it too, so rho = 0 (no
+// stopwatch) is still finite work.
 //
 // For GROUP BY / PARTITION BY instances the column order is free, so the
 // search additionally permutes the input columns (the plan space is m!
@@ -30,9 +32,16 @@ class ExecContext;  // common/exec_context.h
 
 struct SearchOptions {
   // Time threshold rho: stop when elapsed > rho * best-plan estimated
-  // runtime. The paper recommends 0.1%. <= 0 disables the time bound
-  // ("N/S" in Appendix C).
+  // runtime. The paper recommends 0.1%. 0 disables the time bound ("N/S"
+  // in Appendix C); max_plans still applies.
   double rho = 0.001;
+  // Stop once this many plans are costed (checked between bank
+  // combinations and column orders, so a search may overshoot by one
+  // combination's plans). Deterministic, unlike the stopwatch: the same
+  // instance always stops at the same plan. Twelve times what the rho =
+  // 0.1% stopwatch let any perfbench query cost (340 plans, TPC-H Q3 on a
+  // 4-vCPU host); it binds on unbounded (rho = 0) searches over wide keys.
+  size_t max_plans = 4096;
   // Budget floor in seconds: rho * T(P*) can be microseconds for small
   // instances (the paper's SF 1-10 instances imply budgets of 0.1 ms and
   // up); the floor keeps the search meaningful at reduced scales. Plans
@@ -75,6 +84,7 @@ struct SearchResult {
   size_t plans_costed = 0;         // number of full plans costed
   double search_seconds = 0;       // wall time spent searching
   bool timed_out = false;          // stopped by the rho stopwatch
+  bool truncated = false;          // stopped by max_plans
 };
 
 SearchResult RogaSearch(const CostModel& model, const SortInstanceStats& stats,

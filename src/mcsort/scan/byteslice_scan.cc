@@ -1,6 +1,8 @@
 #include "mcsort/scan/byteslice_scan.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 
 #include "mcsort/common/exec_context.h"
 #include "mcsort/common/logging.h"
@@ -11,17 +13,17 @@ namespace {
 
 #if MCSORT_HAVE_AVX2
 
-// Evaluates one 32-row block starting at `base`, returning (lt, eq) masks
-// as movemask bits (bit i = row base + i).
-inline void ScanBlock(const ByteSliceColumn& column, const uint8_t* literal,
-                      size_t base, uint32_t* out_lt, uint32_t* out_eq) {
+// Evaluates one 32-row block (`block[j]` = its 32 bytes of slice j),
+// returning (lt, eq) masks as movemask bits (bit i = row i of the block).
+inline void ScanBlock(const uint8_t* const* block, int slices,
+                      const uint8_t* literal, uint32_t* out_lt,
+                      uint32_t* out_eq) {
   const __m256i bias = _mm256_set1_epi8(static_cast<char>(0x80));
   __m256i m_lt = _mm256_setzero_si256();
   __m256i m_eq = _mm256_set1_epi8(static_cast<char>(0xFF));
-  const int slices = column.num_slices();
   for (int j = 0; j < slices; ++j) {
-    const __m256i d = _mm256_load_si256(
-        reinterpret_cast<const __m256i*>(column.slice(j) + base));
+    const __m256i d =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(block[j]));
     const __m256i lit = _mm256_set1_epi8(static_cast<char>(literal[j]));
     // Unsigned byte compare via sign-bias + signed cmpgt.
     const __m256i lt_j = _mm256_cmpgt_epi8(_mm256_xor_si256(lit, bias),
@@ -38,16 +40,16 @@ inline void ScanBlock(const ByteSliceColumn& column, const uint8_t* literal,
 
 #else  // !MCSORT_HAVE_AVX2
 
-inline void ScanBlock(const ByteSliceColumn& column, const uint8_t* literal,
-                      size_t base, uint32_t* out_lt, uint32_t* out_eq) {
+inline void ScanBlock(const uint8_t* const* block, int slices,
+                      const uint8_t* literal, uint32_t* out_lt,
+                      uint32_t* out_eq) {
   uint32_t lt = 0;
   uint32_t eq = 0;
-  const int slices = column.num_slices();
   for (int i = 0; i < 32; ++i) {
     bool is_lt = false;
     bool is_eq = true;
     for (int j = 0; j < slices && is_eq; ++j) {
-      const uint8_t d = column.slice(j)[base + static_cast<size_t>(i)];
+      const uint8_t d = block[j][i];
       if (d < literal[j]) {
         is_lt = true;
         is_eq = false;
@@ -87,6 +89,34 @@ void SplitLiteral(const ByteSliceColumn& column, Code literal,
     bytes[j] = static_cast<uint8_t>(padded >> (8 * (slices - 1 - j)));
   }
 }
+
+// The slice bytes of one 32-row block. A full block is read in place. The
+// last, partial block is copied into `tail` with zeros past the last row,
+// so a scan never reads past size(): an extended layout may be writing
+// its rows there in shared storage (storage/append_block.h).
+class BlockSlices {
+ public:
+  BlockSlices(const ByteSliceColumn& column, size_t block) {
+    const int slices = column.num_slices();
+    MCSORT_CHECK(slices <= 8);
+    const size_t base = 32 * block;
+    const size_t rows = std::min<size_t>(32, column.size() - base);
+    for (int j = 0; j < slices; ++j) {
+      if (rows == 32) {
+        ptrs_[j] = column.slice(j) + base;
+      } else {
+        std::memset(tail_[j], 0, 32);
+        std::memcpy(tail_[j], column.slice(j) + base, rows);
+        ptrs_[j] = tail_[j];
+      }
+    }
+  }
+  const uint8_t* const* get() const { return ptrs_; }
+
+ private:
+  const uint8_t* ptrs_[8] = {};
+  alignas(32) uint8_t tail_[8][32];
+};
 
 }  // namespace
 
@@ -135,7 +165,8 @@ void ByteSliceScan(const ByteSliceColumn& column, CompareOp op, Code literal,
   ForEachBlock(n, pool, ctx, [&](size_t block) {
     uint32_t lt = 0;
     uint32_t eq = 0;
-    ScanBlock(column, literal_bytes, 32 * block, &lt, &eq);
+    const BlockSlices slices(column, block);
+    ScanBlock(slices.get(), column.num_slices(), literal_bytes, &lt, &eq);
     result->SetBlock32(block, CombineMasks(op, lt, eq));
   });
   result->ClearPastEnd();
@@ -153,8 +184,9 @@ void ByteSliceScanBetween(const ByteSliceColumn& column, Code lo, Code hi,
   SplitLiteral(column, hi, hi_bytes);
   ForEachBlock(n, pool, ctx, [&](size_t block) {
     uint32_t lt_lo = 0, eq_lo = 0, lt_hi = 0, eq_hi = 0;
-    ScanBlock(column, lo_bytes, 32 * block, &lt_lo, &eq_lo);
-    ScanBlock(column, hi_bytes, 32 * block, &lt_hi, &eq_hi);
+    const BlockSlices slices(column, block);
+    ScanBlock(slices.get(), column.num_slices(), lo_bytes, &lt_lo, &eq_lo);
+    ScanBlock(slices.get(), column.num_slices(), hi_bytes, &lt_hi, &eq_hi);
     const uint32_t ge_lo = ~lt_lo;
     const uint32_t le_hi = lt_hi | eq_hi;
     result->SetBlock32(block, ge_lo & le_hi);

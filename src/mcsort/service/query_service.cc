@@ -167,7 +167,7 @@ std::shared_ptr<const Table> QueryService::FindTableShared(
       resolved = binding->name;
     }
   }
-  if (version != nullptr) return version->Snapshot();
+  if (version != nullptr) return MergedSnapshot(*version);
   // Unloaded on-disk table: load outside tables_mu_ (concurrent resident
   // lookups keep flowing), serialized by load_mu_ so a thundering herd on
   // one table does a single load.
@@ -232,7 +232,7 @@ Status QueryService::SaveTable(const std::string& name) {
   // Snapshot outside the lock: saves are long and tables are immutable. A
   // written table saves its merged image, so the snapshot never loses
   // un-compacted rows.
-  if (version != nullptr) table = version->Snapshot();
+  if (version != nullptr) table = MergedSnapshot(*version);
   const Status st = SaveTableSnapshot(*table, dir);
   if (st.ok()) {
     std::lock_guard<std::mutex> lock(tables_mu_);
@@ -310,6 +310,39 @@ void QueryService::EvictOverBudgetLocked() {
   }
 }
 
+namespace {
+
+// Merge-at-scan accounting: which reads paid a full rebuild and why. A
+// full build counts under exactly one delta.merge.fallback.* reason.
+constexpr delta::MergeFallback kMergeFallbacks[] = {
+    delta::MergeFallback::kNoImage, delta::MergeFallback::kTombstone,
+    delta::MergeFallback::kWidthOrBase, delta::MergeFallback::kDictionary,
+    delta::MergeFallback::kCapacity};
+
+std::string MergeFallbackMetric(delta::MergeFallback reason) {
+  return std::string("delta.merge.fallback.") +
+         delta::MergeFallbackName(reason);
+}
+
+}  // namespace
+
+std::shared_ptr<const Table> QueryService::MergedSnapshot(
+    delta::TableVersion& version) {
+  using Kind = delta::TableVersion::MergeReport::Kind;
+  delta::TableVersion::MergeReport report;
+  std::shared_ptr<const Table> table = version.Snapshot(&report);
+  if (report.kind == Kind::kExtended) {
+    metrics_.counter("delta.merge.extends")->Increment();
+  } else if (report.kind == Kind::kFullBuild) {
+    metrics_.counter("delta.merge.full_builds")->Increment();
+    metrics_.counter(MergeFallbackMetric(report.fallback))->Increment();
+  } else {
+    return table;
+  }
+  metrics_.histogram("delta.merge.seconds")->Record(report.seconds);
+  return table;
+}
+
 std::shared_ptr<delta::TableVersion> QueryService::GetOrCreateVersion(
     const std::string& name) {
   {
@@ -336,6 +369,12 @@ std::shared_ptr<delta::TableVersion> QueryService::GetOrCreateVersion(
   if (base == nullptr) return nullptr;
   binding->version = std::make_shared<delta::TableVersion>(std::move(base));
   metrics_.counter("delta.versions_created")->Increment();
+  // The merge counters read 0 until a read merges, rather than not at all.
+  metrics_.counter("delta.merge.extends");
+  metrics_.counter("delta.merge.full_builds");
+  for (delta::MergeFallback reason : kMergeFallbacks) {
+    metrics_.counter(MergeFallbackMetric(reason));
+  }
   return binding->version;
 }
 
@@ -546,6 +585,9 @@ ExecResult QueryService::ExecuteOn(QuerySession* session,
   metrics_.histogram("query.materialize_seconds")
       ->Record(result.materialize_seconds);
   metrics_.histogram("query.plan_seconds")->Record(result.plan_seconds);
+  metrics_.counter("plan.plans_costed")->Add(result.plans_costed);
+  metrics_.counter("plan.search_truncated")
+      ->Add(result.search_truncated ? 1 : 0);
   metrics_.histogram("query.mcs_seconds")->Record(result.mcs_seconds);
   metrics_.histogram("query.post_seconds")->Record(result.post_seconds);
   // Morsel-driven parallelism and kernel routing, surfaced from the

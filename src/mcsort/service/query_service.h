@@ -235,6 +235,9 @@ class QueryService {
   // first use (loading an on-disk table if needed); nullptr when unknown.
   std::shared_ptr<delta::TableVersion> GetOrCreateVersion(
       const std::string& name);
+  // version->Snapshot(), recording what the merge cost in the
+  // delta.merge.* metrics.
+  std::shared_ptr<const Table> MergedSnapshot(delta::TableVersion& version);
   // Drops least-recently-used evictable tables until under budget.
   void EvictOverBudgetLocked();
   uint64_t ResidentOwnedBytesLocked() const;

@@ -21,6 +21,9 @@ constexpr size_t kCountingInsertionMax = 64;
 // and direct callers safe.)
 constexpr size_t kCountingDomainSlack = 8;
 
+// The parallel kernel runs only from this many rows per domain bucket.
+constexpr size_t kParallelCountingRowsPerBucket = 64;
+
 // Histogram + exclusive prefix + stable oid scatter + key regeneration.
 // After the scatter, counts[v] has advanced from v's start offset to its
 // end offset, so the sorted key column is rebuilt by walking the domain —
@@ -127,6 +130,15 @@ void ParallelCountingSortImpl(K* keys, uint32_t* oids, size_t n,
   if (domain > n * kCountingDomainSlack) {
     ParallelSortPairsBank(static_cast<int>(sizeof(K) * 8), keys, oids, n,
                           pool, scratches, ctx);
+    return;
+  }
+  // Below 64 rows per bucket the per-chunk histograms and the (value,
+  // chunk) prefix walk cost more than the parallel passes save: the
+  // serial kernel's single histogram stays in cache while chunks *
+  // domain counters do not (a 14-bit round of 210k rows took 2.1x the
+  // serial wall time and 3.6x its CPU on two workers).
+  if (n < (kParallelCountingRowsPerBucket << key_width)) {
+    CountingSortPairsImpl(keys, oids, n, key_width, scratches[0]);
     return;
   }
   // A few chunks per worker smooths skew; per-chunk rows stay large

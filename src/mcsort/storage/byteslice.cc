@@ -2,39 +2,87 @@
 
 #include <algorithm>
 
-namespace mcsort {
+#include "mcsort/common/bits.h"
 
-ByteSliceColumn ByteSliceColumn::Build(const EncodedColumn& column) {
+namespace mcsort {
+namespace {
+
+// Writes slice bytes of rows [begin, end) of `column`: slice j gets byte j
+// (MSB first) of code << padding.
+void WriteSlices(const EncodedColumn& column, size_t begin, size_t end,
+                 uint8_t* const* slices, int num_slices) {
+  const int padding = 8 * num_slices - column.width();
+  VisitCodes(column, [&](const auto* codes) {
+    for (int j = 0; j < num_slices; ++j) {
+      uint8_t* out = slices[j];
+      // Only the last slice shifts left.
+      const int right = 8 * (num_slices - 1 - j) - padding;
+      if (right >= 0) {
+        for (size_t i = begin; i < end; ++i) {
+          out[i] = static_cast<uint8_t>(codes[i] >> right);
+        }
+      } else {
+        for (size_t i = begin; i < end; ++i) {
+          out[i] = static_cast<uint8_t>(codes[i] << -right);
+        }
+      }
+    }
+  });
+}
+
+}  // namespace
+
+ByteSliceColumn ByteSliceColumn::Build(const EncodedColumn& column,
+                                       size_t capacity_rows) {
   ByteSliceColumn bs;
   bs.width_ = column.width();
   bs.size_ = column.size();
   const size_t n = column.size();
   const int num_slices = (column.width() + 7) / 8;
-  const int padding = 8 * num_slices - column.width();
   // Pad the slice length to a SIMD block so scans can run full blocks.
   const size_t padded_n = slice_bytes(n);
   bs.slices_.resize(static_cast<size_t>(num_slices));
-  VisitCodes(column, [&](const auto* codes) {
+  std::vector<uint8_t*> outs(static_cast<size_t>(num_slices));
+  if (capacity_rows > n) {
+    bs.block_stride_ = RoundUp(slice_bytes(capacity_rows), kSimdAlignment);
+    bs.block_ = std::make_shared<AppendBlock>(
+        static_cast<size_t>(num_slices) * bs.block_stride_, capacity_rows, n);
     for (int j = 0; j < num_slices; ++j) {
-      AlignedBuffer<uint8_t>& slice = bs.slices_[static_cast<size_t>(j)];
-      slice.Reset(padded_n);
-      uint8_t* out = slice.data();
-      // Slice j is byte j (MSB first) of code << padding; only the last
-      // slice shifts left.
-      const int right = 8 * (num_slices - 1 - j) - padding;
-      if (right >= 0) {
-        for (size_t i = 0; i < n; ++i) {
-          out[i] = static_cast<uint8_t>(codes[i] >> right);
-        }
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          out[i] = static_cast<uint8_t>(codes[i] << -right);
-        }
-      }
-      std::fill(out + n, out + padded_n, uint8_t{0});
+      outs[static_cast<size_t>(j)] =
+          bs.block_->data() + static_cast<size_t>(j) * bs.block_stride_;
+      bs.slices_[static_cast<size_t>(j)].ResetView(outs[static_cast<size_t>(j)],
+                                                   padded_n);
     }
-  });
+  } else {
+    for (int j = 0; j < num_slices; ++j) {
+      bs.slices_[static_cast<size_t>(j)].Reset(padded_n);
+      outs[static_cast<size_t>(j)] = bs.slices_[static_cast<size_t>(j)].data();
+    }
+  }
+  WriteSlices(column, 0, n, outs.data(), num_slices);
+  for (uint8_t* out : outs) std::fill(out + n, out + padded_n, uint8_t{0});
   return bs;
+}
+
+bool ByteSliceColumn::Extend(const EncodedColumn& column,
+                             ByteSliceColumn* out) const {
+  MCSORT_CHECK(column.width() == width_ && column.size() >= size_);
+  const size_t n = column.size();
+  if (block_ == nullptr || !block_->Claim(size_, n)) return false;
+  ByteSliceColumn bs;
+  bs.width_ = width_;
+  bs.size_ = n;
+  bs.block_ = block_;
+  bs.block_stride_ = block_stride_;
+  bs.slices_.resize(slices_.size());
+  std::vector<uint8_t*> outs(slices_.size());
+  for (size_t j = 0; j < slices_.size(); ++j) {
+    outs[j] = block_->data() + j * block_stride_;
+    bs.slices_[j].ResetView(outs[j], slice_bytes(n));
+  }
+  WriteSlices(column, size_, n, outs.data(), num_slices());
+  *out = std::move(bs);
+  return true;
 }
 
 ByteSliceColumn ByteSliceColumn::FromParts(

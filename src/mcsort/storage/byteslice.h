@@ -10,10 +10,12 @@
 #define MCSORT_STORAGE_BYTESLICE_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "mcsort/common/aligned_buffer.h"
 #include "mcsort/common/logging.h"
+#include "mcsort/storage/append_block.h"
 #include "mcsort/storage/column.h"
 #include "mcsort/storage/types.h"
 
@@ -23,8 +25,20 @@ class ByteSliceColumn {
  public:
   ByteSliceColumn() = default;
 
-  // Builds the sliced layout from an encoded column.
-  static ByteSliceColumn Build(const EncodedColumn& column);
+  // Builds the sliced layout from an encoded column. A `capacity_rows`
+  // above the column's size puts the slices in one shared AppendBlock with
+  // room for that many rows, so Extend can grow the layout in place.
+  static ByteSliceColumn Build(const EncodedColumn& column,
+                               size_t capacity_rows = 0);
+
+  // The layout of `column`, whose first size() codes are the ones this
+  // layout holds, built by writing only the slice bytes of rows
+  // [size(), column.size()) into this layout's shared block. The result
+  // shares the block; this layout is unchanged and reads nothing past its
+  // size(). Returns false, writing nothing, when the layout was not built
+  // with room, the room is exhausted, or another extension already
+  // claimed the rows past size().
+  bool Extend(const EncodedColumn& column, ByteSliceColumn* out) const;
 
   // Adopts pre-built slices (the snapshot load path; buffers may be mmap
   // views). Each slice must hold at least slice_bytes(size) bytes.
@@ -41,8 +55,11 @@ class ByteSliceColumn {
   // Bits of left-alignment padding: 8 * num_slices - width.
   int padding_bits() const { return 8 * num_slices() - width_; }
 
-  // Slice j (j = 0 is the most significant byte). Slices are padded to a
-  // multiple of 32 bytes so SIMD scans never read past the end.
+  // Slice j (j = 0 is the most significant byte). Each slice spans at
+  // least slice_bytes(size()) bytes, but only the first size() are
+  // defined: an extended layout's rows live past an older layout's end in
+  // the same storage, so readers (scans, the snapshot writer) stop at
+  // size().
   const uint8_t* slice(int j) const {
     MCSORT_DCHECK(j >= 0 && j < num_slices());
     return slices_[static_cast<size_t>(j)].data();
@@ -64,7 +81,9 @@ class ByteSliceColumn {
  private:
   int width_ = 0;
   size_t size_ = 0;
-  std::vector<AlignedBuffer<uint8_t>> slices_;
+  std::vector<AlignedBuffer<uint8_t>> slices_;  // views into block_ if set
+  std::shared_ptr<AppendBlock> block_;  // slice j at j * block_stride_
+  size_t block_stride_ = 0;
 };
 
 }  // namespace mcsort

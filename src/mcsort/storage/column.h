@@ -70,7 +70,9 @@ class EncodedColumn {
   // section) instead of copying it — the zero-copy load path. `data` must be
   // aligned for the physical type, hold `n` codes, and outlive the column
   // (the owning Table pins the mapping). The bytes are read-only: callers
-  // must not write through Data16/32/64 on a view column.
+  // must not write through Data16/32/64 on a view column. (Merged images
+  // view AppendBlocks, which their builder fills before publishing the
+  // image; delta/merge_scan.h.)
   void ResetView(int width, PhysicalType type, size_t n, const void* data) {
     MCSORT_CHECK(width >= 1 && width <= 64);
     MCSORT_CHECK(width <= 8 * BytesOfPhysicalType(type));

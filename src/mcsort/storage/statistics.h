@@ -11,6 +11,7 @@
 #define MCSORT_STORAGE_STATISTICS_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "mcsort/storage/column.h"
@@ -41,8 +42,23 @@ class ColumnStats {
   // (width <= hist_bits), from a dense bitmap when 2^width bits fit in 64
   // bits per row, and from a hash set otherwise. `hist_bits` caps the
   // histogram resolution; the histogram has 2^min(hist_bits, width)
-  // buckets keyed by the code's top bits.
-  static ColumnStats Build(const EncodedColumn& column, int hist_bits = 12);
+  // buckets keyed by the code's top bits. `extendable` keeps what Extend
+  // needs to tell a new code from a seen one: a column wider than the
+  // histogram and at most 20 bits wide keeps its dense bitmap (at most
+  // 128 KiB), built whatever the row count.
+  static ColumnStats Build(const EncodedColumn& column, int hist_bits = 12,
+                           bool extendable = false);
+
+  // The statistics of `column` — whose first row_count() codes are the
+  // ones these stats describe, at the same width — computed from its rows
+  // [row_count(), column.size()) alone. Equal, field by field, to
+  // Build(column). Returns false when these stats cannot be extended:
+  // sampled, restored from an image, or wider than the histogram without a
+  // seen-code bitmap.
+  bool Extend(const EncodedColumn& column, ColumnStats* out) const;
+  bool extendable() const {
+    return exact_ && (hist_bits_ == width_ || seen_ != nullptr);
+  }
 
   // Like Build but over at most `max_rows` stride-sampled rows, with row
   // counts scaled back to the full size. Distinct counts are the sample's
@@ -70,8 +86,9 @@ class ColumnStats {
   // The plan cache folds it into its statistics fingerprint: the kernel
   // router keys on the distinct *distribution* (it decides counting vs.
   // merge rounds), so a reshaped distribution must read as drift even when
-  // the total row/distinct counts happen to match.
-  uint64_t DistinctSketch() const;
+  // the total row/distinct counts happen to match. Computed once when the
+  // stats are built.
+  uint64_t DistinctSketch() const { return distinct_sketch_; }
 
   // Snapshot (de)serialization support. FromImage pre-warms the prefix
   // cache like BuildSampled does, so restored stats stay race-free under
@@ -79,8 +96,16 @@ class ColumnStats {
   ColumnStatsImage ToImage() const;
   static ColumnStats FromImage(const ColumnStatsImage& image);
 
+  // Heap bytes held: the two histograms and the seen-code bitmap.
+  size_t MemoryBytes() const;
+
  private:
+  static ColumnStats BuildImpl(const EncodedColumn& column, uint64_t max_rows,
+                               int hist_bits, bool extendable);
+  // Fills the prefix cache and the sketch from the histogram.
+  void Finish();
   double ComputeDistinctPrefixes(int a) const;
+  uint64_t ComputeDistinctSketch() const;
   uint64_t row_count_ = 0;
   uint64_t distinct_count_ = 0;
   Code min_code_ = 0;
@@ -89,6 +114,12 @@ class ColumnStats {
   int hist_bits_ = 0;  // log2(#buckets)
   std::vector<uint64_t> bucket_rows_;
   std::vector<uint64_t> bucket_distinct_;
+  uint64_t distinct_sketch_ = 0;
+  // Counts every row (not sampled), so Extend can add rows to it.
+  bool exact_ = false;
+  // Bit c set iff code c occurs; shared with the stats extended from these
+  // and copied only when an appended code is new.
+  std::shared_ptr<const std::vector<uint64_t>> seen_;
   // Lazily-built cache: prefix_cache_[a] = EstimateDistinctPrefixes(a).
   mutable std::vector<double> prefix_cache_;
 };

@@ -67,7 +67,8 @@ const ColumnStats& Table::stats(const std::string& name) const {
   const Entry& entry = Find(name);
   std::lock_guard<std::mutex> lock(*lazy_mu_);
   if (entry.stats == nullptr) {
-    entry.stats = std::make_unique<ColumnStats>(ColumnStats::Build(entry.column));
+    entry.stats = std::make_unique<ColumnStats>(ColumnStats::Build(
+        entry.column, /*hist_bits=*/12, /*extendable=*/append_capacity_ > 0));
   }
   return *entry.stats;
 }
@@ -76,14 +77,26 @@ const ByteSliceColumn& Table::byteslice(const std::string& name) const {
   const Entry& entry = Find(name);
   std::lock_guard<std::mutex> lock(*lazy_mu_);
   if (entry.byteslice == nullptr) {
-    entry.byteslice =
-        std::make_unique<ByteSliceColumn>(ByteSliceColumn::Build(entry.column));
+    entry.byteslice = std::make_unique<ByteSliceColumn>(
+        ByteSliceColumn::Build(entry.column, append_capacity_));
   }
   return *entry.byteslice;
 }
 
+const ColumnStats* Table::cached_stats(const std::string& name) const {
+  const Entry& entry = Find(name);
+  std::lock_guard<std::mutex> lock(*lazy_mu_);
+  return entry.stats.get();
+}
+
+const ByteSliceColumn* Table::cached_byteslice(const std::string& name) const {
+  const Entry& entry = Find(name);
+  std::lock_guard<std::mutex> lock(*lazy_mu_);
+  return entry.byteslice.get();
+}
+
 Table& Table::AddColumnParts(const std::string& name, EncodedColumn column,
-                             std::unique_ptr<StringDictionary> dict,
+                             std::shared_ptr<const StringDictionary> dict,
                              int64_t domain_base) {
   AddColumn(name, std::move(column));
   Entry& entry = columns_.at(name);
@@ -117,11 +130,7 @@ size_t Table::MemoryBytes() const {
         total += value.size() + sizeof(std::string);
       }
     }
-    if (entry.stats != nullptr) {
-      // Two histogram vectors of 2^min(12, width) buckets (statistics.cc).
-      const size_t buckets = size_t{1} << std::min(12, entry.stats->width());
-      total += 2 * buckets * sizeof(uint64_t);
-    }
+    if (entry.stats != nullptr) total += entry.stats->MemoryBytes();
     if (entry.byteslice != nullptr) {
       total += static_cast<size_t>(entry.byteslice->num_slices()) *
                ByteSliceColumn::slice_bytes(entry.byteslice->size());

@@ -69,6 +69,18 @@ class Table {
   // under a table-wide mutex and everyone reads the immutable result.
   const ColumnStats& stats(const std::string& name) const;
   const ByteSliceColumn& byteslice(const std::string& name) const;
+  // The cached layouts if already built, else null; never builds.
+  const ColumnStats* cached_stats(const std::string& name) const;
+  const ByteSliceColumn* cached_byteslice(const std::string& name) const;
+
+  // Marks the table as an image that later, larger images extend (a
+  // merged image of delta/merge_scan.h, whose columns have room for
+  // `rows` rows): stats built lazily from then on keep what
+  // ColumnStats::Extend needs, and ByteSlices reserve room for `rows`
+  // rows so ByteSliceColumn::Extend can grow them. 0 (the default) builds
+  // plain layouts.
+  void SetAppendCapacity(size_t rows) { append_capacity_ = rows; }
+  size_t append_capacity() const { return append_capacity_; }
 
   // --- Snapshot persistence (implemented in io/snapshot.cc) -------------
   // Writes the table as a versioned on-disk snapshot directory; loads one
@@ -81,9 +93,17 @@ class Table {
   // Loader plumbing: adds a column together with its dictionary / domain
   // base in one call, and installs pre-built caches so a loaded table never
   // re-derives what the snapshot already carries.
+  // The dictionary may be shared with other tables (extended merged
+  // images keep their predecessor's).
   Table& AddColumnParts(const std::string& name, EncodedColumn column,
-                        std::unique_ptr<StringDictionary> dict,
+                        std::shared_ptr<const StringDictionary> dict,
                         int64_t domain_base);
+  // The dictionary of a string column as a shareable handle (null for
+  // other columns).
+  std::shared_ptr<const StringDictionary> shared_dictionary(
+      const std::string& name) const {
+    return Find(name).dict;
+  }
   void SetStats(const std::string& name, ColumnStats stats);
   void SetByteSlice(const std::string& name, ByteSliceColumn byteslice);
 
@@ -99,7 +119,7 @@ class Table {
  private:
   struct Entry {
     EncodedColumn column;
-    std::unique_ptr<StringDictionary> dict;
+    std::shared_ptr<const StringDictionary> dict;
     int64_t domain_base = 0;
     mutable std::unique_ptr<ColumnStats> stats;
     mutable std::unique_ptr<ByteSliceColumn> byteslice;
@@ -108,6 +128,7 @@ class Table {
   const Entry& Find(const std::string& name) const;
 
   size_t row_count_ = 0;
+  size_t append_capacity_ = 0;
   std::vector<std::string> names_;
   std::unordered_map<std::string, Entry> columns_;
   std::vector<std::shared_ptr<void>> pinned_;

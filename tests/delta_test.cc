@@ -10,8 +10,13 @@
 // executions of one spec against one physical table are bit-identical —
 // the pinned-epoch test compares raw oid vectors, not just key sequences.
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstring>
+#include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -21,6 +26,7 @@
 #include "mcsort/delta/merge_scan.h"
 #include "mcsort/delta/table_version.h"
 #include "mcsort/net/protocol.h"
+#include "mcsort/scan/byteslice_scan.h"
 #include "mcsort/service/query_service.h"
 #include "mcsort/storage/dictionary.h"
 #include "mcsort/storage/table.h"
@@ -575,6 +581,337 @@ TEST(SpillKeyWidthTest, OverWideKeyIsTypedNotSilent) {
   EXPECT_TRUE(run.result.spill_key_too_wide);
   EXPECT_EQ(
       service.metrics().counter("exec.spill.key_too_wide")->value(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Extend-or-rebuild merge-at-scan
+// ---------------------------------------------------------------------------
+
+using MergeKind = delta::TableVersion::MergeReport::Kind;
+using delta::MergeFallback;
+
+const std::vector<std::string>& ChainVocab() {
+  static const std::vector<std::string> kVocab = {"ant", "bee", "cat", "dog",
+                                                  "eel", "fox", "gnu"};
+  return kVocab;
+}
+
+// "s": dictionary; "a": domain-encoded (base 100); "m": 10-bit plain;
+// "w": 17 bits, wider than the stats histogram (seen-code bitmap); "x":
+// 30 bits, too wide for a bitmap (its stats rebuild lazily).
+std::shared_ptr<Table> ChainTable(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::string> values(n);
+  for (auto& v : values) v = ChainVocab()[rng.NextBounded(5)];
+  auto dict = std::make_unique<StringDictionary>(StringDictionary::Build(values));
+  EncodedColumn s(dict->code_width(), n), a(6, n), m(10, n), w(17, n),
+      x(30, n);
+  for (size_t r = 0; r < n; ++r) {
+    s.Set(r, dict->Encode(values[r]));
+    a.Set(r, rng.NextBounded(40));
+    m.Set(r, rng.NextBounded(1000));
+    w.Set(r, rng.NextBounded(100000));
+    x.Set(r, rng.NextBounded(uint64_t{1} << 30));
+  }
+  auto table = std::make_shared<Table>();
+  table->AddColumnParts("s", std::move(s), std::move(dict), 0);
+  table->AddColumnParts("a", std::move(a), nullptr, 100);
+  table->AddColumn("m", std::move(m));
+  table->AddColumn("w", std::move(w));
+  table->AddColumn("x", std::move(x));
+  return table;
+}
+
+// A row whose values fit the image unless `misfits`: then about one row
+// in forty each brings a new string, a value below "a"'s domain base, or
+// one past its width.
+std::vector<DmlValue> ChainRow(Rng& rng, bool misfits, int* fresh_strings) {
+  std::string s = ChainVocab()[rng.NextBounded(5)];
+  if (misfits && rng.NextBounded(40) == 0) {
+    s = rng.NextBounded(2) == 0 ? ChainVocab()[5 + rng.NextBounded(2)]
+                                : "new" + std::to_string((*fresh_strings)++);
+  }
+  int64_t a = 100 + static_cast<int64_t>(rng.NextBounded(40));
+  const uint64_t shape = misfits ? rng.NextBounded(40) : 2;
+  if (shape == 0) a = 100 - static_cast<int64_t>(rng.NextBounded(30));  // base
+  if (shape == 1) a = 100 + 64 + static_cast<int64_t>(rng.NextBounded(900));
+  return {DmlValue::String(s), DmlValue::Int(a),
+          DmlValue::Int(static_cast<int64_t>(rng.NextBounded(1000))),
+          DmlValue::Int(static_cast<int64_t>(rng.NextBounded(100000))),
+          DmlValue::Int(static_cast<int64_t>(rng.NextBounded(1u << 30)))};
+}
+
+DmlCommand ChainInsert(Rng& rng, size_t rows, bool misfits,
+                       int* fresh_strings) {
+  DmlCommand cmd;
+  cmd.op = DmlOp::kInsert;
+  cmd.columns = {"s", "a", "m", "w", "x"};
+  for (size_t r = 0; r < rows; ++r) {
+    cmd.rows.push_back(ChainRow(rng, misfits, fresh_strings));
+  }
+  return cmd;
+}
+
+void ExpectSameStats(const ColumnStats& got, const ColumnStats& want,
+                     const std::string& label) {
+  const ColumnStatsImage a = got.ToImage();
+  const ColumnStatsImage b = want.ToImage();
+  EXPECT_EQ(a.row_count, b.row_count) << label;
+  EXPECT_EQ(a.distinct_count, b.distinct_count) << label;
+  EXPECT_EQ(a.min_code, b.min_code) << label;
+  EXPECT_EQ(a.max_code, b.max_code) << label;
+  EXPECT_EQ(a.width, b.width) << label;
+  EXPECT_EQ(a.hist_bits, b.hist_bits) << label;
+  EXPECT_EQ(a.bucket_rows, b.bucket_rows) << label;
+  EXPECT_EQ(a.bucket_distinct, b.bucket_distinct) << label;
+  EXPECT_EQ(got.DistinctSketch(), want.DistinctSketch()) << label;
+  for (int bits = 0; bits <= b.width; ++bits) {
+    EXPECT_EQ(got.EstimateDistinctPrefixes(bits),
+              want.EstimateDistinctPrefixes(bits))
+        << label << " prefix " << bits;
+  }
+}
+
+void ExpectSameSlices(const ByteSliceColumn& got, const ByteSliceColumn& want,
+                      const std::string& label) {
+  ASSERT_EQ(got.width(), want.width()) << label;
+  ASSERT_EQ(got.size(), want.size()) << label;
+  ASSERT_EQ(got.num_slices(), want.num_slices()) << label;
+  for (int j = 0; j < got.num_slices() && got.size() > 0; ++j) {
+    EXPECT_EQ(std::memcmp(got.slice(j), want.slice(j), got.size()), 0)
+        << label << " slice " << j;
+  }
+}
+
+// Field-by-field equality of a served image with a full build, including
+// the layouts a read would use (installed by extension or built lazily).
+void ExpectSameImage(const Table& got, const Table& want,
+                     const std::string& label) {
+  ASSERT_EQ(got.row_count(), want.row_count()) << label;
+  ASSERT_EQ(got.column_names(), want.column_names()) << label;
+  for (const std::string& name : want.column_names()) {
+    const std::string where = label + " column " + name;
+    const EncodedColumn& a = got.column(name);
+    const EncodedColumn& b = want.column(name);
+    ASSERT_EQ(a.width(), b.width()) << where;
+    ASSERT_EQ(a.type(), b.type()) << where;
+    ASSERT_EQ(a.size(), b.size()) << where;
+    EXPECT_EQ(std::memcmp(a.raw_data(), b.raw_data(), a.byte_size()), 0)
+        << where << " codes";
+    EXPECT_EQ(got.domain_base(name), want.domain_base(name)) << where;
+    ASSERT_EQ(got.HasDictionary(name), want.HasDictionary(name)) << where;
+    if (want.HasDictionary(name)) {
+      EXPECT_EQ(got.dictionary(name).values(), want.dictionary(name).values())
+          << where;
+    }
+    ExpectSameStats(got.stats(name), ColumnStats::Build(b), where + " stats");
+    ExpectSameSlices(got.byteslice(name), ByteSliceColumn::Build(b),
+                     where + " byteslice");
+    // A scan over the served layout agrees with the codes.
+    const Code literal = b.Get(b.size() / 2);
+    BitVector hits;
+    ByteSliceScan(got.byteslice(name), CompareOp::kLess, literal, &hits);
+    size_t want_hits = 0, got_hits = 0;
+    for (size_t i = 0; i < b.size(); ++i) {
+      want_hits += b.Get(i) < literal ? 1 : 0;
+      got_hits += hits.Get(i) ? 1 : 0;
+    }
+    EXPECT_EQ(got_hits, want_hits) << where << " scan";
+  }
+}
+
+// Everything a reader of `table` can see: codes, dictionaries and the
+// cached layouts, each up to the table's last row.
+uint64_t ImageChecksum(const Table& table) {
+  uint64_t hash = 1469598103934665603ull;
+  const auto mix = [&hash](const void* data, size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < bytes; ++i) {
+      hash ^= p[i];
+      hash *= 1099511628211ull;
+    }
+  };
+  for (const std::string& name : table.column_names()) {
+    const EncodedColumn& column = table.column(name);
+    mix(column.raw_data(), column.byte_size());
+    if (table.HasDictionary(name)) {
+      for (const std::string& v : table.dictionary(name).values()) {
+        mix(v.data(), v.size());
+      }
+    }
+    if (const ColumnStats* stats = table.cached_stats(name)) {
+      const ColumnStatsImage image = stats->ToImage();
+      mix(&image.distinct_count, sizeof(image.distinct_count));
+      mix(image.bucket_rows.data(), image.bucket_rows.size() * 8);
+      mix(image.bucket_distinct.data(), image.bucket_distinct.size() * 8);
+    }
+    if (const ByteSliceColumn* bs = table.cached_byteslice(name)) {
+      for (int j = 0; j < bs->num_slices(); ++j) mix(bs->slice(j), bs->size());
+    }
+  }
+  return hash;
+}
+
+// Seeded random DML with every fallback in the mix: after each step the
+// served image must equal BuildMergedTable over the same delta plus fresh
+// stats and ByteSlices, and every image served earlier must be unchanged.
+TEST(MergeChainTest, ExtendedImagesEqualFullBuilds) {
+  std::map<MergeFallback, int> fallbacks;
+  int extends = 0;
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    delta::TableVersion version(ChainTable(1500, seed));
+    Rng rng(seed * 7919);
+    int fresh_strings = 0;
+    std::vector<std::pair<std::shared_ptr<const Table>, uint64_t>> held;
+    for (int step = 0; step < 160; ++step) {
+      const std::string label =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      const uint64_t pick = rng.NextBounded(100);
+      if (pick < 10) {
+        // Large fitting batches run the append room out.
+        ASSERT_TRUE(version
+                        .Apply(ChainInsert(rng, 300 + rng.NextBounded(300),
+                                           /*misfits=*/false, &fresh_strings))
+                        .ok());
+      } else if (pick < 60) {
+        ASSERT_TRUE(version
+                        .Apply(ChainInsert(rng, 1 + rng.NextBounded(20),
+                                           /*misfits=*/true, &fresh_strings))
+                        .ok());
+      } else if (pick < 68) {
+        ASSERT_TRUE(version
+                        .Apply(Where(DmlOp::kDelete, "", "m", DmlCompareOp::kEq,
+                                     DmlValue::Int(static_cast<int64_t>(
+                                         rng.NextBounded(1000)))))
+                        .ok());
+      } else if (pick < 74) {
+        DmlCommand update = Where(DmlOp::kUpdate, "", "w", DmlCompareOp::kLt,
+                                  DmlValue::Int(static_cast<int64_t>(
+                                      rng.NextBounded(300))));
+        update.columns = {"m"};
+        update.rows = {{DmlValue::Int(static_cast<int64_t>(
+            rng.NextBounded(1000)))}};
+        ASSERT_TRUE(version.Apply(update).ok());
+      } else if (pick < 77) {
+        // Matches nothing, but interns its SET string into the overflow.
+        DmlCommand update = Where(DmlOp::kUpdate, "", "m", DmlCompareOp::kGt,
+                                  DmlValue::Int(5000));
+        update.columns = {"s"};
+        update.rows = {{DmlValue::String("nomatch" +
+                                         std::to_string(fresh_strings++))}};
+        ASSERT_TRUE(version.Apply(update).ok());
+      } else if (pick < 83) {
+        const delta::TableVersion::CompactionJob job = version.BeginCompaction();
+        if (!job.snap.empty()) {
+          delta::MergedTable merged = delta::BuildMergedTable(*job.base, job.snap);
+          // The compactor's save builds every layout on the merged table.
+          for (const std::string& name : merged.table->column_names()) {
+            merged.table->stats(name);
+            merged.table->byteslice(name);
+          }
+          ASSERT_TRUE(version.Publish(job, std::move(merged)));
+        }
+      }
+      delta::TableVersion::MergeReport report;
+      const std::shared_ptr<const Table> image = version.Snapshot(&report);
+      if (report.kind == MergeKind::kExtended) ++extends;
+      if (report.kind == MergeKind::kFullBuild) ++fallbacks[report.fallback];
+
+      const delta::TableVersion::CompactionJob now = version.BeginCompaction();
+      if (now.snap.empty()) {
+        EXPECT_EQ(image, now.base) << label;
+      } else {
+        const delta::MergedTable want =
+            delta::BuildMergedTable(*now.base, now.snap);
+        ExpectSameImage(*image, *want.table, label);
+        if (HasFatalFailure()) return;
+      }
+      for (const auto& [old, checksum] : held) {
+        EXPECT_EQ(ImageChecksum(*old), checksum) << label << " held image";
+      }
+      if (held.size() >= 8) held.erase(held.begin());
+      held.emplace_back(image, ImageChecksum(*image));
+    }
+  }
+  EXPECT_GT(extends, 100);
+  for (MergeFallback reason :
+       {MergeFallback::kNoImage, MergeFallback::kTombstone,
+        MergeFallback::kWidthOrBase, MergeFallback::kDictionary,
+        MergeFallback::kCapacity}) {
+    EXPECT_GT(fallbacks[reason], 0) << delta::MergeFallbackName(reason);
+  }
+}
+
+// Readers pin images and re-check them bit for bit while a writer inserts
+// and compaction publishes (run under TSan and ASan+UBSan by
+// scripts/run_sanitizers.sh).
+TEST(MergeChainTest, PinnedImagesNeverChangeUnderWritesAndPublish) {
+  delta::TableVersion version(ChainTable(4000, 9));
+  std::atomic<bool> stop{false};
+  std::atomic<int> extends{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    Rng rng(21);
+    int fresh = 0;
+    for (int i = 0; i < 400; ++i) {
+      if (!version.Apply(ChainInsert(rng, 8, /*misfits=*/false, &fresh)).ok()) {
+        ++failures;
+      }
+      if (i % 50 == 49) {
+        version.Apply(Where(DmlOp::kDelete, "", "m", DmlCompareOp::kEq,
+                            DmlValue::Int(static_cast<int64_t>(i))));
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    stop = true;
+  });
+  threads.emplace_back([&] {
+    while (!stop) {
+      const delta::TableVersion::CompactionJob job = version.BeginCompaction();
+      if (!job.snap.empty()) {
+        delta::MergedTable merged = delta::BuildMergedTable(*job.base, job.snap);
+        merged.table->stats("m");
+        merged.table->byteslice("m");
+        version.Publish(job, std::move(merged));
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(15));
+    }
+  });
+  for (int reader = 0; reader < 2; ++reader) {
+    threads.emplace_back([&] {
+      std::vector<std::pair<std::shared_ptr<const Table>, uint64_t>> held;
+      while (!stop) {
+        delta::TableVersion::MergeReport report;
+        std::shared_ptr<const Table> image = version.Snapshot(&report);
+        if (report.kind == MergeKind::kExtended) ++extends;
+        // Both readers build the same layouts before checksumming, so a
+        // layout the other reader adds later cannot change a checksum.
+        for (const char* name : {"s", "a", "m", "w"}) {
+          image->stats(name);
+          image->byteslice(name);
+        }
+        const uint64_t checksum = ImageChecksum(*image);
+        std::this_thread::yield();
+        if (ImageChecksum(*image) != checksum) ++failures;
+        for (const auto& [old, sum] : held) {
+          if (ImageChecksum(*old) != sum) ++failures;
+        }
+        if (held.size() >= 4) held.erase(held.begin());
+        held.emplace_back(std::move(image), checksum);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(extends.load(), 0);
+  // The final image still equals a full build.
+  const std::shared_ptr<const Table> image = version.Snapshot();
+  const delta::TableVersion::CompactionJob job = version.BeginCompaction();
+  if (!job.snap.empty()) {
+    ExpectSameImage(*image, *delta::BuildMergedTable(*job.base, job.snap).table,
+                    "final");
+  }
 }
 
 }  // namespace

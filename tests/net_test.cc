@@ -842,6 +842,19 @@ TEST_F(NetServerTest, DmlAgainstAStoppedServerIsATransportFailure) {
   EXPECT_EQ(closed.error_detail, "not connected");
 }
 
+TEST_F(NetServerTest, TableOpAgainstAStoppedServerIsATransportFailure) {
+  auto client = Connect();
+  server_->Shutdown();
+  const TableOpResult dead = client->SaveTable("demo");
+  EXPECT_FALSE(dead.transport_ok);
+  EXPECT_EQ(dead.error, ErrorCode::kNone);
+  EXPECT_NE(dead.error_detail.find("no reply"), std::string::npos)
+      << dead.error_detail;
+  const TableOpResult closed = client->LoadTable("demo");
+  EXPECT_FALSE(closed.transport_ok);
+  EXPECT_EQ(closed.error_detail, "not connected");
+}
+
 class NetRobustnessTest : public ::testing::Test {
  protected:
   // Big enough that a three-column ORDER BY sort is comfortably in flight

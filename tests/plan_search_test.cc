@@ -170,6 +170,34 @@ TEST_F(SearchTest, TinyRhoStillReturnsValidPlan) {
   EXPECT_EQ(result.plan.total_width(), stats.total_width());
 }
 
+TEST_F(SearchTest, UnboundedSearchStopsAtThePlanCapDeterministically) {
+  // Three 45-bit ORDER BY columns: rho = 0 alone would cost plans for
+  // minutes; the cap stops the search at the same plan every time.
+  ColumnStats c1 = MakeStats(45, 1 << 12, 1 << 12, 33);
+  ColumnStats c2 = MakeStats(45, 1 << 12, 1 << 12, 34);
+  ColumnStats c3 = MakeStats(45, 1 << 12, 1 << 12, 35);
+  SortInstanceStats stats{1 << 12, {&c1, &c2, &c3}};
+  SearchOptions options;
+  options.rho = 0;
+  const SearchResult first = RogaSearch(model_, stats, options);
+  const SearchResult second = RogaSearch(model_, stats, options);
+  EXPECT_TRUE(first.truncated);
+  EXPECT_FALSE(first.timed_out);
+  EXPECT_GE(first.plans_costed, options.max_plans);
+  EXPECT_LT(first.plans_costed, options.max_plans + 1000);
+  EXPECT_TRUE(first.plan.IsValid());
+  EXPECT_EQ(first.plan.ToString(), second.plan.ToString());
+  EXPECT_EQ(first.plans_costed, second.plans_costed);
+
+  // A narrow instance finishes its unbounded search below the cap.
+  ColumnStats n1 = MakeStats(20, 1 << 12, 1 << 12, 36);
+  ColumnStats n2 = MakeStats(12, 1 << 12, 300, 37);
+  const SearchResult narrow =
+      RogaSearch(model_, SortInstanceStats{1 << 20, {&n1, &n2}}, options);
+  EXPECT_FALSE(narrow.truncated);
+  EXPECT_LT(narrow.plans_costed, options.max_plans);
+}
+
 TEST_F(SearchTest, RrsFindsReasonablePlans) {
   ColumnStats c1 = MakeStats(10, 1 << 14, 1 << 10, 31);
   ColumnStats c2 = MakeStats(17, 1 << 14, 1 << 13, 32);

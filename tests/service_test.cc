@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "mcsort/common/options.h"
 #include "mcsort/common/random.h"
 #include "mcsort/cost/calibration.h"
 #include "mcsort/service/metrics.h"
@@ -454,6 +455,19 @@ TEST(ServiceConfigTest, RhoAndThreadsComeFromEnvironment) {
   unsetenv("MCSORT_THREADS");
   const ServiceOptions defaults = ServiceOptions::FromEnv();
   EXPECT_DOUBLE_EQ(defaults.rho, 0.001);
+}
+
+TEST(ServiceConfigTest, NegativeOrNanRhoIsATypedError) {
+  for (const char* bad : {"-0.5", "nan"}) {
+    setenv("MCSORT_RHO", bad, 1);
+    const Status st = ExecOptions::FromEnv().Validate();
+    EXPECT_EQ(st.code, StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(st.detail.find("MCSORT_RHO"), std::string::npos) << st.detail;
+  }
+  setenv("MCSORT_RHO", "0", 1);
+  EXPECT_TRUE(ExecOptions::FromEnv().Validate().ok());
+  unsetenv("MCSORT_RHO");
+  EXPECT_TRUE(ExecOptions::FromEnv().Validate().ok());
 }
 
 TEST(ServiceConfigTest, SharedCostModelLoadsCalibrationFileExactlyOnce) {

@@ -212,6 +212,32 @@ TEST(SortKernelsParallelTest, Bank16) { RunParallelKernels<uint16_t>(13, 4, 4); 
 TEST(SortKernelsParallelTest, Bank32) { RunParallelKernels<uint32_t>(20, 4, 5); }
 TEST(SortKernelsParallelTest, Bank64) { RunParallelKernels<uint64_t>(40, 3, 6); }
 
+// The parallel counting kernel and its serial fallback (below 64 rows per
+// bucket) must give the serial kernel's exact, stable output.
+TEST(SortKernelsParallelTest, CountingMatchesSerialKernelAtEveryRatio) {
+  ThreadPool pool(4);
+  std::vector<SortScratch> scratches(static_cast<size_t>(pool.num_threads()));
+  SortScratch serial_scratch;
+  for (const auto& [n, width] : std::vector<std::pair<size_t, int>>{
+           {100000, 8}, {210000, 14}, {300000, 12}, {70000, 16}}) {
+    for (Pattern pattern : {Pattern::kRandom, Pattern::kFewDistinct}) {
+      const auto original = MakeKeys<uint32_t>(pattern, n, width, n + width);
+      auto want_keys = original;
+      std::vector<uint32_t> want_oids(n);
+      std::iota(want_oids.begin(), want_oids.end(), 0);
+      CountingSortPairs32(want_keys.data(), want_oids.data(), n, width,
+                          serial_scratch);
+      auto keys = original;
+      std::vector<uint32_t> oids(n);
+      std::iota(oids.begin(), oids.end(), 0);
+      ParallelCountingSortPairsBank(32, keys.data(), oids.data(), n, width,
+                                    pool, scratches, nullptr);
+      EXPECT_EQ(keys, want_keys) << n << " rows, " << width << " bits";
+      EXPECT_EQ(oids, want_oids) << n << " rows, " << width << " bits";
+    }
+  }
+}
+
 // A pre-cancelled context must stop the parallel kernels without touching
 // every element; the arrays are discarded, so only "returns, no crash,
 // oids stay in range" is checked.

@@ -104,6 +104,21 @@ std::vector<delta::DmlValue> GenerateRow(const TableSchema& schema, Rng& rng) {
   return row;
 }
 
+// A failure the server reported: its typed ERROR frame when it sent one,
+// else the status and detail of its reply.
+void PrintServerFailure(const char* verb, net::ErrorCode error,
+                        const std::string& error_detail, uint8_t status_code,
+                        const std::string& reply_detail) {
+  if (error != net::ErrorCode::kNone) {
+    std::fprintf(stderr, "mcsort_dml: %s failed: %s %s\n", verb,
+                 net::ErrorCodeName(error), error_detail.c_str());
+  } else {
+    std::fprintf(stderr, "mcsort_dml: %s failed: %s %s\n", verb,
+                 StatusCodeName(static_cast<StatusCode>(status_code)),
+                 reply_detail.c_str());
+  }
+}
+
 bool SendDml(McsortClient& client, const delta::DmlCommand& cmd,
              uint64_t* affected) {
   const net::DmlResult result = client.ExecuteDml(cmd);
@@ -113,10 +128,9 @@ bool SendDml(McsortClient& client, const delta::DmlCommand& cmd,
     return false;
   }
   if (!result.ok()) {
-    std::fprintf(stderr, "mcsort_dml: %s failed: %s %s (status %u: %s)\n",
-                 delta::DmlOpName(cmd.op), net::ErrorCodeName(result.error),
-                 result.error_detail.c_str(), result.reply.status_code,
-                 result.reply.detail.c_str());
+    PrintServerFailure(delta::DmlOpName(cmd.op), result.error,
+                       result.error_detail, result.reply.status_code,
+                       result.reply.detail);
     return false;
   }
   if (affected != nullptr) *affected = result.reply.rows_affected;
@@ -270,10 +284,14 @@ int main(int argc, char** argv) {
     const net::TableOpResult result = verb == "save"
                                           ? client.SaveTable(table)
                                           : client.LoadTable(table);
+    if (!result.transport_ok) {
+      std::fprintf(stderr, "mcsort_dml: %s failed: transport failure: %s\n",
+                   verb.c_str(), result.error_detail.c_str());
+      return 1;
+    }
     if (!result.ok()) {
-      std::fprintf(stderr, "mcsort_dml: %s failed: %s %s %s\n", verb.c_str(),
-                   net::ErrorCodeName(result.error),
-                   result.error_detail.c_str(), result.reply.detail.c_str());
+      PrintServerFailure(verb.c_str(), result.error, result.error_detail,
+                         result.reply.status_code, result.reply.detail);
       return 1;
     }
     std::printf("%s rows=%llu\n", verb.c_str(),

@@ -34,6 +34,10 @@ int main() {
   // The one place this binary reads the environment: every MCSORT_* knob
   // is parsed into the typed config up front and passed down as structs.
   const ExecOptions env = ExecOptions::FromEnv();
+  if (const Status st = env.Validate(); !st.ok()) {
+    std::fprintf(stderr, "mcsort_server: %s\n", st.ToString().c_str());
+    return 2;
+  }
   const size_t rows = env.demo_rows;
   const Table table = MakeDemoTable(rows);
 
