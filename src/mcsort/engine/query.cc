@@ -491,8 +491,7 @@ ExecResult QueryExecutor::Execute(const QuerySpec& spec,
       search.max_bank = bank_cap;  // degraded runs stay under the cap
       search.ctx = stoppable ? &ctx : nullptr;
       SearchResult found = RogaSearch(model_, stats, search);
-      result.plans_costed += found.plans_costed;
-      result.search_truncated |= found.truncated;
+      count_search(found);
       order_plan = std::move(found.plan);
       result.plan_seconds += timer.Seconds();
     }
