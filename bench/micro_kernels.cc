@@ -112,13 +112,16 @@ BENCHMARK(BM_CountingSortPairs32)
     ->Args({1 << 16, 16})
     ->Args({210000, 14})
     ->Args({210000, 16})
+    ->Args({1 << 19, 14})
     ->Args({1 << 20, 8})
     ->Args({1 << 20, 16})
     ->Args({1 << 20, 20});
 
 // The same rounds through the pool. At 210k rows and 14/16-bit keys (a
-// filtered GROUP BY round) the kernel routes to the serial one: below 64
-// rows per bucket the per-chunk histograms cost more than they save.
+// filtered GROUP BY round) the kernel routes to the serial one: below 32
+// rows per bucket the per-chunk histograms cost more than they save. The
+// 2^19-row 14-bit case sits at the cutoff (32 rows per bucket) and runs
+// in parallel.
 void BM_ParallelCountingSortPairs32(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const int width = static_cast<int>(state.range(1));
@@ -139,6 +142,7 @@ void BM_ParallelCountingSortPairs32(benchmark::State& state) {
 BENCHMARK(BM_ParallelCountingSortPairs32)
     ->Args({210000, 14})
     ->Args({210000, 16})
+    ->Args({1 << 19, 14})
     ->Args({1 << 22, 8})
     ->Args({1 << 22, 16});
 

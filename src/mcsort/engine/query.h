@@ -164,7 +164,7 @@ struct QueryResult {
   double materialize_seconds = 0;  // base-column lookups of sort attrs
   double plan_seconds = 0;         // ROGA search
   // Plans ROGA costed over every search of this query, and whether any
-  // search stopped at SearchOptions::max_plans.
+  // search stopped at kMaxPlansCosted (plan/roga.h).
   uint64_t plans_costed = 0;
   bool search_truncated = false;
   double mcs_seconds = 0;          // multi-column sorting (all instances)

@@ -52,7 +52,7 @@ struct SearchState {
       timed_out = true;
       return true;
     }
-    if (plans_costed >= options->max_plans) {
+    if (plans_costed >= kMaxPlansCosted) {
       truncated = true;
       return true;
     }

@@ -20,6 +20,7 @@
 #ifndef MCSORT_PLAN_ROGA_H_
 #define MCSORT_PLAN_ROGA_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -30,18 +31,19 @@ namespace mcsort {
 
 class ExecContext;  // common/exec_context.h
 
+// The search stops once this many plans are costed (checked between bank
+// combinations and column orders, so a search may overshoot by one
+// combination's plans). Deterministic, unlike the stopwatch: the same
+// instance always stops at the same plan. Twelve times what the rho =
+// 0.1% stopwatch let any perfbench query cost (340 plans, TPC-H Q3 on a
+// 4-vCPU host); it binds on unbounded (rho = 0) searches over wide keys.
+inline constexpr size_t kMaxPlansCosted = 4096;
+
 struct SearchOptions {
   // Time threshold rho: stop when elapsed > rho * best-plan estimated
   // runtime. The paper recommends 0.1%. 0 disables the time bound ("N/S"
-  // in Appendix C); max_plans still applies.
+  // in Appendix C); kMaxPlansCosted still applies.
   double rho = 0.001;
-  // Stop once this many plans are costed (checked between bank
-  // combinations and column orders, so a search may overshoot by one
-  // combination's plans). Deterministic, unlike the stopwatch: the same
-  // instance always stops at the same plan. Twelve times what the rho =
-  // 0.1% stopwatch let any perfbench query cost (340 plans, TPC-H Q3 on a
-  // 4-vCPU host); it binds on unbounded (rho = 0) searches over wide keys.
-  size_t max_plans = 4096;
   // Budget floor in seconds: rho * T(P*) can be microseconds for small
   // instances (the paper's SF 1-10 instances imply budgets of 0.1 ms and
   // up); the floor keeps the search meaningful at reduced scales. Plans
@@ -84,7 +86,7 @@ struct SearchResult {
   size_t plans_costed = 0;         // number of full plans costed
   double search_seconds = 0;       // wall time spent searching
   bool timed_out = false;          // stopped by the rho stopwatch
-  bool truncated = false;          // stopped by max_plans
+  bool truncated = false;          // stopped by kMaxPlansCosted
 };
 
 SearchResult RogaSearch(const CostModel& model, const SortInstanceStats& stats,

@@ -21,8 +21,10 @@ constexpr size_t kCountingInsertionMax = 64;
 // and direct callers safe.)
 constexpr size_t kCountingDomainSlack = 8;
 
-// The parallel kernel runs only from this many rows per domain bucket.
-constexpr size_t kParallelCountingRowsPerBucket = 64;
+// The parallel kernel runs only from this many rows per domain bucket: the
+// smallest ratio at which it was no slower than the serial kernel at every
+// width from 12 to 16 bits on a 2-worker pool (DESIGN.md §11).
+constexpr size_t kParallelCountingRowsPerBucket = 32;
 
 // Histogram + exclusive prefix + stable oid scatter + key regeneration.
 // After the scatter, counts[v] has advanced from v's start offset to its
@@ -132,11 +134,12 @@ void ParallelCountingSortImpl(K* keys, uint32_t* oids, size_t n,
                           pool, scratches, ctx);
     return;
   }
-  // Below 64 rows per bucket the per-chunk histograms and the (value,
+  // Below 32 rows per bucket the per-chunk histograms and the (value,
   // chunk) prefix walk cost more than the parallel passes save: the
   // serial kernel's single histogram stays in cache while chunks *
-  // domain counters do not (a 14-bit round of 210k rows took 2.1x the
-  // serial wall time and 3.6x its CPU on two workers).
+  // domain counters do not (at 8-24 rows per bucket and 12-14 bits the
+  // parallel kernel took 1.05-1.8x the serial wall time and 1.8-2.8x its
+  // CPU on two workers).
   if (n < (kParallelCountingRowsPerBucket << key_width)) {
     CountingSortPairsImpl(keys, oids, n, key_width, scratches[0]);
     return;

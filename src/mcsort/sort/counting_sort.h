@@ -62,9 +62,10 @@ class ThreadPool;   // common/thread_pool.h
 // prefix, then a parallel stable scatter (chunk-major order preserves
 // stability) and a serial key regeneration. Falls back to the serial
 // kernel, with identical output, when the pool is small, n is small,
-// n < 64 * 2^key_width, or key_width exceeds kParallelCountingMaxWidth. A stoppable `ctx` is checked between phases
-// and chunks; on a stop the arrays are unspecified and the caller discards
-// them after re-checking ctx.
+// n < 32 * 2^key_width, or key_width exceeds kParallelCountingMaxWidth. A
+// stoppable `ctx` is checked between phases and chunks; on a stop the
+// arrays are unspecified and the caller discards them after re-checking
+// ctx.
 void ParallelCountingSortPairsBank(int bank, void* keys, uint32_t* oids,
                                    size_t n, int key_width, ThreadPool& pool,
                                    std::vector<SortScratch>& scratches,

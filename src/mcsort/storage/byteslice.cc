@@ -38,28 +38,20 @@ ByteSliceColumn ByteSliceColumn::Build(const EncodedColumn& column,
   bs.width_ = column.width();
   bs.size_ = column.size();
   const size_t n = column.size();
-  const int num_slices = (column.width() + 7) / 8;
+  const size_t rows = std::max(capacity_rows, n);
+  const size_t num_slices = static_cast<size_t>((column.width() + 7) / 8);
   // Pad the slice length to a SIMD block so scans can run full blocks.
   const size_t padded_n = slice_bytes(n);
-  bs.slices_.resize(static_cast<size_t>(num_slices));
-  std::vector<uint8_t*> outs(static_cast<size_t>(num_slices));
-  if (capacity_rows > n) {
-    bs.block_stride_ = RoundUp(slice_bytes(capacity_rows), kSimdAlignment);
-    bs.block_ = std::make_shared<AppendBlock>(
-        static_cast<size_t>(num_slices) * bs.block_stride_, capacity_rows, n);
-    for (int j = 0; j < num_slices; ++j) {
-      outs[static_cast<size_t>(j)] =
-          bs.block_->data() + static_cast<size_t>(j) * bs.block_stride_;
-      bs.slices_[static_cast<size_t>(j)].ResetView(outs[static_cast<size_t>(j)],
-                                                   padded_n);
-    }
-  } else {
-    for (int j = 0; j < num_slices; ++j) {
-      bs.slices_[static_cast<size_t>(j)].Reset(padded_n);
-      outs[static_cast<size_t>(j)] = bs.slices_[static_cast<size_t>(j)].data();
-    }
+  bs.block_stride_ = RoundUp(slice_bytes(rows), kSimdAlignment);
+  bs.block_ =
+      std::make_shared<AppendBlock>(num_slices * bs.block_stride_, rows, n);
+  bs.slices_.resize(num_slices);
+  std::vector<uint8_t*> outs(num_slices);
+  for (size_t j = 0; j < num_slices; ++j) {
+    outs[j] = bs.block_->data() + j * bs.block_stride_;
+    bs.slices_[j].ResetView(outs[j], padded_n);
   }
-  WriteSlices(column, 0, n, outs.data(), num_slices);
+  WriteSlices(column, 0, n, outs.data(), bs.num_slices());
   for (uint8_t* out : outs) std::fill(out + n, out + padded_n, uint8_t{0});
   return bs;
 }
@@ -68,6 +60,7 @@ bool ByteSliceColumn::Extend(const EncodedColumn& column,
                              ByteSliceColumn* out) const {
   MCSORT_CHECK(column.width() == width_ && column.size() >= size_);
   const size_t n = column.size();
+  // A layout adopted by FromParts has no block to grow into.
   if (block_ == nullptr || !block_->Claim(size_, n)) return false;
   ByteSliceColumn bs;
   bs.width_ = width_;

@@ -25,9 +25,9 @@ class ByteSliceColumn {
  public:
   ByteSliceColumn() = default;
 
-  // Builds the sliced layout from an encoded column. A `capacity_rows`
-  // above the column's size puts the slices in one shared AppendBlock with
-  // room for that many rows, so Extend can grow the layout in place.
+  // Builds the sliced layout from an encoded column. The slices live in
+  // one shared AppendBlock with room for max(capacity_rows, size) rows, so
+  // Extend can grow the layout in place up to `capacity_rows`.
   static ByteSliceColumn Build(const EncodedColumn& column,
                                size_t capacity_rows = 0);
 
@@ -35,8 +35,8 @@ class ByteSliceColumn {
   // layout holds, built by writing only the slice bytes of rows
   // [size(), column.size()) into this layout's shared block. The result
   // shares the block; this layout is unchanged and reads nothing past its
-  // size(). Returns false, writing nothing, when the layout was not built
-  // with room, the room is exhausted, or another extension already
+  // size(). Returns false, writing nothing, when the layout was loaded by
+  // FromParts, the room is exhausted, or another extension already
   // claimed the rows past size().
   bool Extend(const EncodedColumn& column, ByteSliceColumn* out) const;
 
@@ -82,7 +82,8 @@ class ByteSliceColumn {
   int width_ = 0;
   size_t size_ = 0;
   std::vector<AlignedBuffer<uint8_t>> slices_;  // views into block_ if set
-  std::shared_ptr<AppendBlock> block_;  // slice j at j * block_stride_
+  // Slice j at j * block_stride_; null only for FromParts layouts.
+  std::shared_ptr<AppendBlock> block_;
   size_t block_stride_ = 0;
 };
 

@@ -183,8 +183,8 @@ TEST_F(SearchTest, UnboundedSearchStopsAtThePlanCapDeterministically) {
   const SearchResult second = RogaSearch(model_, stats, options);
   EXPECT_TRUE(first.truncated);
   EXPECT_FALSE(first.timed_out);
-  EXPECT_GE(first.plans_costed, options.max_plans);
-  EXPECT_LT(first.plans_costed, options.max_plans + 1000);
+  EXPECT_GE(first.plans_costed, kMaxPlansCosted);
+  EXPECT_LT(first.plans_costed, kMaxPlansCosted + 1000);
   EXPECT_TRUE(first.plan.IsValid());
   EXPECT_EQ(first.plan.ToString(), second.plan.ToString());
   EXPECT_EQ(first.plans_costed, second.plans_costed);
@@ -195,7 +195,7 @@ TEST_F(SearchTest, UnboundedSearchStopsAtThePlanCapDeterministically) {
   const SearchResult narrow =
       RogaSearch(model_, SortInstanceStats{1 << 20, {&n1, &n2}}, options);
   EXPECT_FALSE(narrow.truncated);
-  EXPECT_LT(narrow.plans_costed, options.max_plans);
+  EXPECT_LT(narrow.plans_costed, kMaxPlansCosted);
 }
 
 TEST_F(SearchTest, RrsFindsReasonablePlans) {

@@ -212,7 +212,7 @@ TEST(SortKernelsParallelTest, Bank16) { RunParallelKernels<uint16_t>(13, 4, 4); 
 TEST(SortKernelsParallelTest, Bank32) { RunParallelKernels<uint32_t>(20, 4, 5); }
 TEST(SortKernelsParallelTest, Bank64) { RunParallelKernels<uint64_t>(40, 3, 6); }
 
-// The parallel counting kernel and its serial fallback (below 64 rows per
+// The parallel counting kernel and its serial fallback (below 32 rows per
 // bucket) must give the serial kernel's exact, stable output.
 TEST(SortKernelsParallelTest, CountingMatchesSerialKernelAtEveryRatio) {
   ThreadPool pool(4);
