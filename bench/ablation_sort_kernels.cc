@@ -1,12 +1,15 @@
 // Ablation: the per-round sort kernels of multi-column sorting — SIMD
-// merge-sort (the paper's kernel) and the CAFS-style counting sort
-// (O(N + K) when the round's distinct count K is small against N). The
-// kernel is chosen the way the executor always chooses it: by annotating
-// every plan round.
+// merge-sort (the paper's kernel), the CAFS-style counting sort (O(N + K)
+// when the round's distinct count K is small against N) and the LSD radix
+// sort (Sec. 7; one pass per 8-bit digit of the round width). The kernel
+// is chosen the way the executor always chooses it: by annotating plan
+// rounds, never by MCSORT_KERNELS forcing.
 //
 // Three experiments:
-//   1. Kernel-per-plan table over the Sec. 3 instances — which kernel wins
-//      for which massage plan shape.
+//   1. Kernel-per-plan table over the nine Sec. 3 plans — each kernel on
+//      every round, then the cost model's per-round routing over all three
+//      (the "routed" column, with the annotated plan), which should track
+//      the fastest column.
 //   2. Cardinality sweep: one 16-bit round at K/N from 2^-16 up to ~1,
 //      the regime split the cost model's counting term must capture
 //      (counting's histogram costs O(2^width); its payoff needs small K
@@ -56,6 +59,7 @@ int main() {
   };
 
   MultiColumnSorter sorter;
+  const CostModel model(bench::BenchParams());
   const auto measure = [&](const std::vector<MassageInput>& inputs,
                            const MassagePlan& plan, SortKernel kernel) {
     return bench::MeasurePlan(inputs, WithKernel(plan, kernel),
@@ -70,7 +74,10 @@ int main() {
     const EncodedColumn c2 = bench::SyntheticColumn(c.w2, n, 72);
     std::vector<MassageInput> inputs = {{&c1, SortOrder::kAscending},
                                         {&c2, SortOrder::kAscending}};
-    std::printf("%-28s %10s %10s\n", "plan", "merge(ms)", "count(ms)");
+    std::vector<ColumnStats> storage;
+    const SortInstanceStats stats = bench::StatsFor({&c1, &c2}, &storage);
+    std::printf("%-28s %10s %10s %10s %10s  %s\n", "plan", "merge(ms)",
+                "count(ms)", "radix(ms)", "routed(ms)", "routed kernels");
     for (const auto& widths : c.plans) {
       const MassagePlan plan = MassagePlan::WithMinimalBanks(widths);
       const double merge_s = measure(inputs, plan, SortKernel::kSimdMerge);
@@ -79,9 +86,21 @@ int main() {
       bool degraded = false;
       for (int w : widths) degraded = degraded || !CountingSortFeasible(w);
       const double counting_s = measure(inputs, plan, SortKernel::kCounting);
-      std::printf("%-28s %10s %9s%c\n", plan.ToString().c_str(),
+      const double radix_s = measure(inputs, plan, SortKernel::kRadix);
+      // Routed: each round runs the kernel the cost model prices cheapest.
+      MassagePlan routed = plan;
+      const CostModel::PlanEstimate est =
+          model.Estimate(plan, stats, kRoutableKernels);
+      for (size_t j = 0; j < routed.num_rounds(); ++j) {
+        routed.mutable_round(j)->kernel = est.rounds[j].kernel;
+      }
+      const double routed_s =
+          bench::MeasurePlan(inputs, routed, bench::EnvReps(), &sorter)
+              .total_seconds();
+      std::printf("%-28s %10s %9s%c %10s %10s  %s\n", plan.ToString().c_str(),
                   bench::Ms(merge_s).c_str(), bench::Ms(counting_s).c_str(),
-                  degraded ? '*' : ' ');
+                  degraded ? '*' : ' ', bench::Ms(radix_s).c_str(),
+                  bench::Ms(routed_s).c_str(), routed.ToString().c_str());
     }
   }
   std::printf("\n(* = counting infeasible on some round; those rounds "
@@ -110,7 +129,6 @@ int main() {
   // Unforced routing: does ROGA pick the counting kernel at low K?
   // ------------------------------------------------------------------
   bench::Header("ROGA kernel routing (no forcing, full kernel mask)");
-  const CostModel model(bench::BenchParams());
   std::printf("%-10s %-40s\n", "K", "chosen plan (round:kernel)");
   for (int log_k = 0; log_k <= 16; log_k += 4) {
     const uint64_t k = uint64_t{1} << log_k;
@@ -125,7 +143,8 @@ int main() {
 
   std::printf("\nexpected shape: counting beats merge while K stays far\n"
               "below N with the 2^16-counter histogram cache-resident;\n"
-              "ROGA's routing crossover should track the measured\n"
-              "count/merge crossover.\n");
+              "radix beats merge on rounds of large groups, most on rounds\n"
+              "that end on digit boundaries; ROGA's routing crossover\n"
+              "should track the measured crossovers.\n");
   return 0;
 }

@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the physical operators backing
-// the Sec. 4 cost model: per-bank SIMD sort, code massaging, ByteSlice
+// the Sec. 4 cost model: per-bank SIMD sort, the counting and radix
+// kernels, code massaging, ByteSlice
 // scan, lookup/gather, and the group scan. These are the quantities the
 // calibration procedures measure; run them to sanity-check calibrated
 // constants (cycles/code = seconds * GHz / N). The BM_Parallel* variants
@@ -10,6 +11,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -22,6 +24,7 @@
 #include "mcsort/scan/group_scan.h"
 #include "mcsort/scan/lookup.h"
 #include "mcsort/sort/counting_sort.h"
+#include "mcsort/sort/radix_sort.h"
 #include "mcsort/sort/simd_sort.h"
 #include "mcsort/storage/byteslice.h"
 #include "mcsort/storage/column.h"
@@ -145,6 +148,130 @@ BENCHMARK(BM_ParallelCountingSortPairs32)
     ->Args({1 << 19, 14})
     ->Args({1 << 22, 8})
     ->Args({1 << 22, 16});
+
+// Round sorts side by side at the shapes the served plans produce: args
+// are (rows, round width, segment length); the round sorts rows / length
+// segments of `length` rows each, so one sweep reads the radix term's
+// per-invocation overhead (short segments) and its cached and missing
+// per-row-pass costs (segments on both sides of L2) next to the merge
+// kernel it competes with. K picks the bank; widths 25-32 are the 32-bit
+// rounds and 40 the 64-bit round of the TPC-H plans, 2^17-2^21 rows their
+// filtered and unfiltered sizes. Counter `passes` = ceil(width / 8).
+template <typename K, SortKernel kKernel>
+void BM_RoundSort(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const int width = static_cast<int>(state.range(1));
+  const size_t length = static_cast<size_t>(state.range(2));
+  constexpr int kBankBits = static_cast<int>(sizeof(K) * 8);
+  const auto master = RandomKeys<K>(n, width, 31 + width);
+  std::vector<K> keys(n);
+  std::vector<uint32_t> oids(n);
+  SortScratch scratch;
+  for (auto _ : state) {
+    keys = master;
+    std::iota(oids.begin(), oids.end(), 0);
+    for (size_t begin = 0; begin + length <= n; begin += length) {
+      if constexpr (kKernel == SortKernel::kRadix) {
+        RadixSortPairsBank(kBankBits, keys.data() + begin,
+                           oids.data() + begin, length, width, scratch);
+      } else {
+        SortPairsBank(kBankBits, keys.data() + begin, oids.data() + begin,
+                      length, scratch);
+      }
+    }
+    benchmark::DoNotOptimize(keys.data());
+  }
+  state.counters["passes"] = RadixPasses(width);
+  state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
+}
+
+void ServedRoundShapes32(benchmark::internal::Benchmark* bench) {
+  for (const auto& [rows, width] : std::vector<std::pair<int, int>>{
+           {1 << 17, 25}, {1 << 19, 28}, {1 << 20, 32}, {1 << 21, 32}}) {
+    bench->Args({rows, width, rows});
+  }
+  for (int length : {128, 1024, 8192, 32768, 65536}) {
+    bench->Args({1 << 20, 32, length});
+  }
+}
+void ServedRoundShapes64(benchmark::internal::Benchmark* bench) {
+  for (int rows : {1 << 17, 1 << 19, 1 << 21}) bench->Args({rows, 40, rows});
+  for (int length : {128, 1024, 8192, 32768, 65536}) {
+    bench->Args({1 << 20, 40, length});
+  }
+}
+void ServedRoundShapes16(benchmark::internal::Benchmark* bench) {
+  bench->Args({1 << 20, 16, 1 << 20});
+  for (int length : {128, 1024, 8192}) bench->Args({1 << 20, 16, length});
+}
+BENCHMARK_TEMPLATE(BM_RoundSort, uint16_t, SortKernel::kSimdMerge)
+    ->Apply(ServedRoundShapes16);
+BENCHMARK_TEMPLATE(BM_RoundSort, uint16_t, SortKernel::kRadix)
+    ->Apply(ServedRoundShapes16);
+BENCHMARK_TEMPLATE(BM_RoundSort, uint32_t, SortKernel::kSimdMerge)
+    ->Apply(ServedRoundShapes32);
+BENCHMARK_TEMPLATE(BM_RoundSort, uint32_t, SortKernel::kRadix)
+    ->Apply(ServedRoundShapes32);
+BENCHMARK_TEMPLATE(BM_RoundSort, uint64_t, SortKernel::kSimdMerge)
+    ->Apply(ServedRoundShapes64);
+BENCHMARK_TEMPLATE(BM_RoundSort, uint64_t, SortKernel::kRadix)
+    ->Apply(ServedRoundShapes64);
+
+// The cooperative radix path for one huge segment, against the parallel
+// split+merge sort it replaces, at the served whole-round shapes. Run with
+// MCSORT_THREADS=2 for the served pool size.
+template <typename K, SortKernel kKernel>
+void BM_ParallelRoundSort(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const int width = static_cast<int>(state.range(1));
+  constexpr int kBankBits = static_cast<int>(sizeof(K) * 8);
+  const auto master = RandomKeys<K>(n, width, 37 + width);
+  std::vector<K> keys(n);
+  std::vector<uint32_t> oids(n);
+  ThreadPool pool(BenchThreads());
+  std::vector<SortScratch> scratches(
+      static_cast<size_t>(pool.num_threads()));
+  for (auto _ : state) {
+    keys = master;
+    std::iota(oids.begin(), oids.end(), 0);
+    if constexpr (kKernel == SortKernel::kRadix) {
+      ParallelRadixSortPairsBank(kBankBits, keys.data(), oids.data(), n,
+                                 width, pool, scratches);
+    } else {
+      ParallelSortPairsBank(kBankBits, keys.data(), oids.data(), n, pool,
+                            scratches);
+    }
+    benchmark::DoNotOptimize(keys.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
+}
+void ServedParallelShapes(benchmark::internal::Benchmark* bench,
+                          std::vector<std::pair<int, int>> shapes) {
+  for (const auto& [rows, width] : shapes) bench->Args({rows, width});
+  // Wall time plus the CPU of every worker, the served cost metric.
+  bench->UseRealTime()->MeasureProcessCPUTime();
+}
+void ParallelShapes16(benchmark::internal::Benchmark* bench) {
+  ServedParallelShapes(bench, {{1 << 20, 16}});
+}
+void ParallelShapes32(benchmark::internal::Benchmark* bench) {
+  ServedParallelShapes(bench, {{1 << 17, 25}, {1 << 19, 28}, {1 << 21, 32}});
+}
+void ParallelShapes64(benchmark::internal::Benchmark* bench) {
+  ServedParallelShapes(bench, {{1 << 17, 40}, {1 << 19, 40}, {1 << 21, 40}});
+}
+BENCHMARK_TEMPLATE(BM_ParallelRoundSort, uint16_t, SortKernel::kSimdMerge)
+    ->Apply(ParallelShapes16);
+BENCHMARK_TEMPLATE(BM_ParallelRoundSort, uint16_t, SortKernel::kRadix)
+    ->Apply(ParallelShapes16);
+BENCHMARK_TEMPLATE(BM_ParallelRoundSort, uint32_t, SortKernel::kSimdMerge)
+    ->Apply(ParallelShapes32);
+BENCHMARK_TEMPLATE(BM_ParallelRoundSort, uint32_t, SortKernel::kRadix)
+    ->Apply(ParallelShapes32);
+BENCHMARK_TEMPLATE(BM_ParallelRoundSort, uint64_t, SortKernel::kSimdMerge)
+    ->Apply(ParallelShapes64);
+BENCHMARK_TEMPLATE(BM_ParallelRoundSort, uint64_t, SortKernel::kRadix)
+    ->Apply(ParallelShapes64);
 
 void BM_ParallelSortPairs16(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

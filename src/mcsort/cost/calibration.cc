@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "mcsort/common/bits.h"
@@ -18,6 +19,7 @@
 #include "mcsort/scan/group_scan.h"
 #include "mcsort/scan/lookup.h"
 #include "mcsort/sort/counting_sort.h"
+#include "mcsort/sort/radix_sort.h"
 #include "mcsort/sort/simd_sort.h"
 #include "mcsort/storage/column.h"
 
@@ -306,6 +308,75 @@ void CalibrateCounting(const CalibrationOptions& options,
   cp.row_mem = std::max(cp.row_cache, x[3]);
 }
 
+// --------------------------------------------------------------------------
+// Radix kernel constants
+// --------------------------------------------------------------------------
+
+// Radix-sort timings across round widths (pass counts), banks and group
+// counts pin the three unknowns: the grouped runs identify the
+// per-invocation overhead, and group sizes on both sides of L2 split the
+// cached per-row-pass cost from the missing one.
+void CalibrateRadixBank(const CalibrationOptions& options,
+                        CostParams* params) {
+  const uint64_t n = options.sort_rows;
+  Rng rng(options.seed + 300);
+  SortScratch scratch;
+  std::vector<std::vector<double>> a;
+  std::vector<double> b;
+  const double l2 = static_cast<double>(params->l2_bytes);
+  std::vector<Oid> oids(n);
+  for (const auto& [width, bank] : {std::pair{16, 16}, std::pair{32, 32},
+                                   std::pair{40, 64}}) {
+    EncodedColumn master;
+    master.ResetTyped(width, PhysicalTypeForWidth(bank), n);
+    for (uint64_t i = 0; i < n; ++i) {
+      master.Set(i, rng.Next() & LowBitsMask(width));
+    }
+    EncodedColumn keys;
+    for (uint64_t groups : {uint64_t{1}, uint64_t{64}, uint64_t{4096}}) {
+      const uint64_t group_rows = n / groups;
+      const uint64_t used = group_rows * groups;
+      const double seconds = MeasureSeconds(options.repeats, [&] {
+        keys.ResetTyped(width, master.type(), used, /*zero_fill=*/false);
+        for (uint64_t i = 0; i < used; ++i) keys.Set(i, master.Get(i));
+        std::iota(oids.begin(), oids.begin() + static_cast<ptrdiff_t>(used),
+                  0);
+        for (uint64_t g = 0; g < groups; ++g) {
+          const uint64_t begin = g * group_rows;
+          switch (keys.type()) {
+            case PhysicalType::kU16:
+              RadixSortPairs16(keys.Data16() + begin, oids.data() + begin,
+                               group_rows, width, scratch);
+              break;
+            case PhysicalType::kU32:
+              RadixSortPairs32(keys.Data32() + begin, oids.data() + begin,
+                               group_rows, width, scratch);
+              break;
+            case PhysicalType::kU64:
+              RadixSortPairs64(keys.Data64() + begin, oids.data() + begin,
+                               group_rows, width, scratch);
+              break;
+          }
+        }
+      });
+      // The model's residency blend (CostModel::SortCyclesRadix).
+      const double group_bytes = 2.0 * static_cast<double>(group_rows) *
+                                 (bank / 8.0 + sizeof(uint32_t));
+      const double hit = std::min(1.0, l2 / group_bytes);
+      const double row_passes =
+          static_cast<double>(used) * RadixPasses(width);
+      a.push_back({static_cast<double>(groups), row_passes * hit,
+                   row_passes * (1.0 - hit)});
+      b.push_back(SecondsToCycles(seconds, *params));
+    }
+  }
+  const std::vector<double> x = SolveLeastSquares(a, b);
+  RadixSortParams& rp = params->radix;
+  rp.overhead = std::max(10.0, x[0]);
+  rp.row_pass_cache = std::max(0.2, x[1]);
+  rp.row_pass_mem = std::max(rp.row_pass_cache, x[2]);
+}
+
 }  // namespace
 
 CostParams Calibrate(const CalibrationOptions& options) {
@@ -317,6 +388,7 @@ CostParams Calibrate(const CalibrationOptions& options) {
     CalibrateSortBank(options, bank, &params);
   }
   CalibrateCounting(options, &params);
+  CalibrateRadixBank(options, &params);
   return params;
 }
 
@@ -335,6 +407,8 @@ bool SaveParams(const CostParams& params, const char* path) {
   std::fprintf(f, "counting=%.6g,%.6g,%.6g,%.6g\n", params.counting.overhead,
                params.counting.per_bucket, params.counting.row_cache,
                params.counting.row_mem);
+  std::fprintf(f, "radix=%.6g,%.6g,%.6g\n", params.radix.overhead,
+               params.radix.row_pass_cache, params.radix.row_pass_mem);
   std::fclose(f);
   return true;
 }
@@ -374,13 +448,19 @@ bool LoadParams(const char* path, CostParams* params) {
       params->counting.row_cache = c;
       params->counting.row_mem = d;
       ++fields;
+    } else if (std::sscanf(line, "radix=%lf,%lf,%lf", &a, &b, &c) == 3) {
+      params->radix.overhead = a;
+      params->radix.row_pass_cache = b;
+      params->radix.row_pass_mem = c;
     }
   }
   std::fclose(f);
   // 8 = 4 scalars + 3 banks + counting. Older calibration files lack the
   // counting term; treating them as missing forces one recalibration
-  // rather than routing kernels on stale defaults. Lines of retired
-  // kernels (the in-memory OVC merge's `ovcNN=`) are skipped, not counted.
+  // rather than routing kernels on stale defaults. The radix line is not
+  // counted: files written before the radix kernel returned still load,
+  // and its constants keep the values `params` held (the defaults). Lines
+  // of retired kernels (the in-memory OVC merge's `ovcNN=`) are skipped.
   return fields >= 8;
 }
 

@@ -18,6 +18,9 @@
 //   * Counting constants: width x group-count sweep; the domain walks
 //     identify the per-bucket term, widths past L2 split the cached vs
 //     missing per-row costs.
+//   * Radix constants: width x bank x group-count sweep; grouped runs
+//     identify the per-invocation overhead, group sizes on both sides of
+//     L2 split the cached vs missing per-row-pass costs.
 #ifndef MCSORT_COST_CALIBRATION_H_
 #define MCSORT_COST_CALIBRATION_H_
 

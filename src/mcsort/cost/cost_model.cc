@@ -9,6 +9,7 @@
 #include "mcsort/common/logging.h"
 #include "mcsort/massage/fip.h"
 #include "mcsort/sort/counting_sort.h"
+#include "mcsort/sort/radix_sort.h"
 
 namespace mcsort {
 
@@ -115,6 +116,21 @@ double CostModel::SortCyclesCounting(const GroupShape& shape, int width,
          shape.rows_to_sort * (p.row_cache * hit + p.row_mem * (1.0 - hit));
 }
 
+double CostModel::SortCyclesRadix(const GroupShape& shape, int width,
+                                  int bank) const {
+  if (shape.n_sort < 0.5) return 0.0;
+  const RadixSortParams& p = params_.radix;
+  // A pass reads a group's keys and oids and writes their ping-pong
+  // copies, so the working set is twice the group.
+  const double row_bytes = static_cast<double>(bank) / 8.0 + sizeof(uint32_t);
+  const double group_bytes = 2.0 * shape.avg_group_size * row_bytes;
+  const double hit = std::min(
+      1.0, static_cast<double>(params_.l2_bytes) / std::max(1.0, group_bytes));
+  return shape.n_sort * p.overhead +
+         shape.rows_to_sort * RadixPasses(width) *
+             (p.row_pass_cache * hit + p.row_pass_mem * (1.0 - hit));
+}
+
 double CostModel::NextRoundSortCycles(const SortInstanceStats& stats,
                                       int prefix_bits, int bank) const {
   const GroupShape shape =
@@ -165,6 +181,13 @@ CostModel::PlanEstimate CostModel::Estimate(const MassagePlan& plan,
       if (t < re.t_sort) {
         re.t_sort = t;
         re.kernel = SortKernel::kCounting;
+      }
+    }
+    if ((kernels & KernelBit(SortKernel::kRadix)) != 0) {
+      const double t = SortCyclesRadix(entering, round.width, round.bank);
+      if (t < re.t_sort) {
+        re.t_sort = t;
+        re.kernel = SortKernel::kRadix;
       }
     }
     if (j > 0) re.t_lookup = LookupCycles(stats.n, round.width);

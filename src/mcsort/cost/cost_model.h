@@ -8,7 +8,9 @@
 //                      M_LLC / (N * size(w)).
 //   T_massage (Eq. 4): I_FIP * C_massage * N.
 //   T_sort^k  (Eq. 1): N_sort invocations of a b-bit SIMD merge-sort, each
-//                      costed by Eqs. 2 and 5-8.
+//                      costed by Eqs. 2 and 5-8 — or of the counting or
+//                      LSD radix kernel, when the kernel mask allows it
+//                      and its own term is cheaper for the round.
 //   T_scan    (Eq. 9): one sequential pass.
 //
 // Group structure per round (N_group, N_sort, average group size) is
@@ -144,6 +146,10 @@ class CostModel {
   // cache-residency blend). Returns +inf when width is infeasible.
   double SortCyclesCounting(const GroupShape& shape, int width,
                             double avg_group_distinct) const;
+  // T_sort for the LSD radix kernel on a `width`-bit round held in
+  // `bank`-bit keys: ceil(width / 8) passes over every row to sort, with
+  // the per-row cost blended by how much of a group L2 holds.
+  double SortCyclesRadix(const GroupShape& shape, int width, int bank) const;
   // T_lookup for reordering a w-bit column of N codes (Eq. 3).
   double LookupCycles(uint64_t n, int width) const;
 

@@ -35,6 +35,13 @@ CostParams CostParams::Default() {
   // Counting: per-row cost is a couple of array updates when the histogram
   // stays cache-resident, a scattered miss when it does not.
   params.counting = {300.0, 2.0, 3.0, 12.0};
+  // Radix: fit to a micro_kernels sweep of BM_RoundSort (16-, 32- and
+  // 64-bit banks, 2^17-2^21-row rounds and 128-65536-row segments) in the
+  // units of the merge defaults above: each shape's target is the merge
+  // term times the measured radix/merge time ratio, so the two terms rank
+  // kernels as the measurements do (DESIGN.md §11). The large overhead
+  // keeps rounds of ~100-row groups on merge, where the two kernels tie.
+  params.radix = {3300.0, 5.0, 8.0};
   return params;
 }
 

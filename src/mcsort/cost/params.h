@@ -35,6 +35,20 @@ struct CountingSortParams {
   double row_mem = 12.0;
 };
 
+// LSD radix constants (sort/radix_sort.h): one histogram read plus one
+// stable scatter pass per 8-bit digit of the round width, O(N * passes).
+struct RadixSortParams {
+  // Fixed cycles per invocation (histogram zeroing, per-digit 256-bucket
+  // prefix walks).
+  double overhead = 3300.0;
+  // Cycles per row per digit pass while a group's keys, oids and their
+  // ping-pong copies stay L2-resident...
+  double row_pass_cache = 5.0;
+  // ...and once they do not (the 256 scatter streams then miss): the
+  // cost model blends the two by the fraction of the group one L2 holds.
+  double row_pass_mem = 8.0;
+};
+
 // Coordinator-merge constants (dist/coordinator.h): the loser-tree
 // multiway merge of pre-sorted shard result streams. Costed per element
 // per tree level (ceil(log2 fan_in) comparisons each, most decided by a
@@ -81,6 +95,7 @@ struct CostParams {
   BankSortParams bank64;
 
   CountingSortParams counting;
+  RadixSortParams radix;
   CoordMergeParams coord_merge;
   SpillParams spill;
 

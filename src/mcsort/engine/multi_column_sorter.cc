@@ -8,6 +8,7 @@
 #include "mcsort/common/timer.h"
 #include "mcsort/scan/lookup.h"
 #include "mcsort/sort/counting_sort.h"
+#include "mcsort/sort/radix_sort.h"
 
 namespace mcsort {
 namespace {
@@ -36,7 +37,7 @@ int BankOfType(PhysicalType type) {
 }
 
 // Segments of at least this many rows (and at least a 1/(2T) share of the
-// round) are sorted by the cooperative parallel split+merge sorter instead
+// round) are sorted by the kernel's cooperative parallel sorter instead
 // of being one worker's morsel: a single dominant group would otherwise
 // serialize the round on one core.
 uint32_t CooperativeSortThreshold(size_t round_rows, int workers) {
@@ -56,7 +57,7 @@ constexpr uint64_t kTinySortMorselSegments = 256;
 // The kernel a single-kernel MCSORT_KERNELS mask forces, if any.
 std::optional<SortKernel> SingleKernelFromEnv() {
   const SortKernelMask mask = KernelMaskFromEnv(0);
-  for (SortKernel kernel : {SortKernel::kSimdMerge, SortKernel::kCounting}) {
+  for (SortKernel kernel : kAllSortKernels) {
     if (mask == KernelBit(kernel)) return kernel;
   }
   return std::nullopt;
@@ -97,11 +98,18 @@ void MultiColumnSorter::SortSegments(int bank, SortKernel kernel,
   const auto sort_one = [&](size_t s, SortScratch& scratch) {
     const uint32_t begin = segments.begin(s);
     const uint32_t len = segments.length(s);
-    if (effective == SortKernel::kCounting) {
-      CountingSortPairsBank(bank, RawAt(keys, begin), oids + begin, len,
-                            key_width, scratch);
-    } else {
-      SortPairsBank(bank, RawAt(keys, begin), oids + begin, len, scratch);
+    switch (effective) {
+      case SortKernel::kCounting:
+        CountingSortPairsBank(bank, RawAt(keys, begin), oids + begin, len,
+                              key_width, scratch);
+        break;
+      case SortKernel::kRadix:
+        RadixSortPairsBank(bank, RawAt(keys, begin), oids + begin, len,
+                           key_width, scratch);
+        break;
+      case SortKernel::kSimdMerge:
+        SortPairsBank(bank, RawAt(keys, begin), oids + begin, len, scratch);
+        break;
     }
   };
 
@@ -137,13 +145,20 @@ void MultiColumnSorter::SortSegments(int bank, SortKernel kernel,
   for (const uint32_t s : huge) {
     if (stoppable && ctx->StopRequested()) break;
     const uint32_t begin = segments.begin(s);
-    if (effective == SortKernel::kCounting) {
-      ParallelCountingSortPairsBank(bank, RawAt(keys, begin), oids + begin,
-                                    segments.length(s), key_width, *pool_,
-                                    scratch_, ctx);
-    } else {
-      ParallelSortPairsBank(bank, RawAt(keys, begin), oids + begin,
-                            segments.length(s), *pool_, scratch_, ctx);
+    const uint32_t len = segments.length(s);
+    switch (effective) {
+      case SortKernel::kCounting:
+        ParallelCountingSortPairsBank(bank, RawAt(keys, begin), oids + begin,
+                                      len, key_width, *pool_, scratch_, ctx);
+        break;
+      case SortKernel::kRadix:
+        ParallelRadixSortPairsBank(bank, RawAt(keys, begin), oids + begin,
+                                   len, key_width, *pool_, scratch_, ctx);
+        break;
+      case SortKernel::kSimdMerge:
+        ParallelSortPairsBank(bank, RawAt(keys, begin), oids + begin, len,
+                              *pool_, scratch_, ctx);
+        break;
     }
   }
   profile->cooperative_sorts = huge.size();

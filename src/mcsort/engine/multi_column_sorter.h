@@ -39,8 +39,9 @@ struct RoundProfile {
   SortKernel kernel = SortKernel::kSimdMerge;
 
   // Morsel-driven parallelism instrumentation (all zero for serial runs).
-  size_t cooperative_sorts = 0;  // huge segments sorted by the parallel
-                                 // split+merge sorter (all workers)
+  size_t cooperative_sorts = 0;  // huge segments sorted by the kernel's
+                                 // cooperative parallel sorter (all
+                                 // workers)
   size_t sort_morsels = 0;       // dynamic morsels claimed for mid/tiny
                                  // segment sorts
   int sort_workers = 0;          // max workers on any segment-sort dispatch

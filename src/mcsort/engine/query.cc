@@ -101,6 +101,14 @@ size_t QueryExecutor::EstimatePlanScratchBytes(const MassagePlan& plan,
   return static_cast<size_t>(rows) * per_row;
 }
 
+size_t QueryExecutor::MinPlanScratchBytes(int total_width, uint64_t rows) {
+  // Every bank is a multiple of 16 bits and the rounds' banks cover the
+  // width, so the key columns take at least 2 * ceil(W / 16) bytes per
+  // row, and the widest round's buffers at least 3 * 16 / 8.
+  const size_t key_bytes = 2 * static_cast<size_t>((total_width + 15) / 16);
+  return static_cast<size_t>(rows) * (2 * sizeof(Oid) + key_bytes + 6);
+}
+
 ExecResult QueryExecutor::Execute(const QuerySpec& spec,
                                   const ExecContext& ctx) {
   const PlanHint* hint = ctx.hint();
@@ -311,7 +319,9 @@ ExecResult QueryExecutor::Execute(const QuerySpec& spec,
         }
       }
       if (!spill_viable || !key_fits) {
-        if (narrower > 0) {
+        // A capped re-plan can only help if some plan fits the budget.
+        if (narrower > 0 && MinPlanScratchBytes(total_width, n) <=
+                                ctx.scratch_budget_bytes()) {
           plan_under(narrower);
           continue;
         }

@@ -298,6 +298,12 @@ class QueryExecutor {
   static size_t EstimatePlanScratchBytes(const MassagePlan& plan,
                                          uint64_t rows);
 
+  // A lower bound on EstimatePlanScratchBytes over every plan of
+  // `total_width` bits, under any bank cap: the plan of 16-bit rounds
+  // attains it. When it exceeds the budget, no re-plan under a narrower
+  // cap can fit, so the degradation loop refuses without searching.
+  static size_t MinPlanScratchBytes(int total_width, uint64_t rows);
+
   // The sort-attribute statistics instance a query induces (exposed for
   // benchmarks that explore the plan space directly).
   SortInstanceStats InstanceStats(const QuerySpec& spec,

@@ -15,6 +15,7 @@ const char* SortKernelName(SortKernel kernel) {
   switch (kernel) {
     case SortKernel::kSimdMerge: return "merge";
     case SortKernel::kCounting: return "counting";
+    case SortKernel::kRadix: return "radix";
   }
   return "?";
 }
@@ -36,10 +37,12 @@ SortKernelMask ParseKernelMask(const std::string& text,
       mask |= KernelBit(SortKernel::kSimdMerge);
     } else if (token == "counting") {
       mask |= KernelBit(SortKernel::kCounting);
+    } else if (token == "radix") {
+      mask |= KernelBit(SortKernel::kRadix);
     } else if (!token.empty()) {
       std::fprintf(stderr,
                    "[mcsort] unknown sort kernel '%s' ignored "
-                   "(known: merge, counting)\n",
+                   "(known: merge, counting, radix)\n",
                    token.c_str());
     }
     pos = comma + 1;

@@ -20,8 +20,9 @@ namespace mcsort {
 // Which single-column sort kernel executes a round. kSimdMerge is the
 // paper's merge-sort with sorting-network kernel [5]; kCounting is the
 // CAFS-style O(N + K) frequency sort for rounds whose domain (and
-// distinct count) is small relative to N.
-enum class SortKernel { kSimdMerge, kCounting };
+// distinct count) is small relative to N; kRadix is the LSD radix sort
+// (Sec. 7), one stable counting pass per 8-bit digit of the round width.
+enum class SortKernel { kSimdMerge, kCounting, kRadix };
 
 const char* SortKernelName(SortKernel kernel);
 
@@ -33,12 +34,17 @@ constexpr SortKernelMask KernelBit(SortKernel kernel) {
   return SortKernelMask{1} << static_cast<int>(kernel);
 }
 constexpr SortKernelMask kRoutableKernels =
-    KernelBit(SortKernel::kSimdMerge) | KernelBit(SortKernel::kCounting);
+    KernelBit(SortKernel::kSimdMerge) | KernelBit(SortKernel::kCounting) |
+    KernelBit(SortKernel::kRadix);
+
+// Every kernel, in enum order (for loops over the kernel dimension).
+constexpr SortKernel kAllSortKernels[] = {
+    SortKernel::kSimdMerge, SortKernel::kCounting, SortKernel::kRadix};
 
 // Parses a comma-separated kernel list ("merge" or its alias "simd",
-// "counting"). Each unknown token — including the retired "ovc" and
-// "radix" — is reported on stderr and skipped; an empty or wholly unknown
-// list returns `fallback`.
+// "counting", "radix"). Each unknown token — including the retired "ovc"
+// — is reported on stderr and skipped; an empty or wholly unknown list
+// returns `fallback`.
 SortKernelMask ParseKernelMask(const std::string& text,
                                SortKernelMask fallback);
 

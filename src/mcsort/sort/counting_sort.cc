@@ -6,6 +6,7 @@
 #include "mcsort/common/exec_context.h"
 #include "mcsort/common/logging.h"
 #include "mcsort/common/thread_pool.h"
+#include "mcsort/sort/chunked_counts.h"
 #include "mcsort/sort/scalar_kernels.h"
 
 namespace mcsort {
@@ -111,10 +112,9 @@ void CountingSortPairsBank(int bank, void* keys, uint32_t* oids, size_t n,
 
 namespace {
 
-// Parallel counting sort: per-chunk histograms in one shared buffer, a
-// serial combined exclusive prefix that hands every (chunk, value) its
-// scatter base — chunk-major, so the scatter stays stable — then a
-// parallel scatter and a serial key regeneration.
+// Parallel counting sort: the shared chunked histogram-and-scatter step
+// (sort/chunked_counts.h) with one domain-sized histogram per chunk, over
+// the oids only, then a serial key regeneration.
 template <typename K>
 void ParallelCountingSortImpl(K* keys, uint32_t* oids, size_t n,
                               int key_width, ThreadPool& pool,
@@ -144,57 +144,26 @@ void ParallelCountingSortImpl(K* keys, uint32_t* oids, size_t n,
     CountingSortPairsImpl(keys, oids, n, key_width, scratches[0]);
     return;
   }
-  // A few chunks per worker smooths skew; per-chunk rows stay large
-  // enough that the duplicated O(domain) prefix work is noise.
-  const size_t chunks =
-      std::max<size_t>(1, static_cast<size_t>(pool.num_threads()) * 4);
-  const size_t chunk_len = (n + chunks - 1) / chunks;
-  uint64_t* hist = nullptr;
-  scratches[0].u64_a.EnsureDiscard(chunks * domain);
-  hist = scratches[0].u64_a.data();
+  const sort_internal::ChunkGrid grid(n, pool);
+  scratches[0].u64_a.EnsureDiscard(grid.chunks * domain);
+  uint64_t* hist = scratches[0].u64_a.data();
   scratches[0].u32_a.EnsureDiscard(n);
   uint32_t* oid_out = scratches[0].u32_a.data();
 
-  pool.ParallelFor(
-      chunks,
-      [&](uint64_t begin, uint64_t end, int) {
-        for (size_t c = begin; c < end; ++c) {
-          uint64_t* h = hist + c * domain;
-          std::memset(h, 0, domain * sizeof(uint64_t));
-          const size_t lo = c * chunk_len;
-          const size_t hi = std::min(lo + chunk_len, n);
-          for (size_t i = lo; i < hi; ++i) ++h[keys[i]];
-        }
-      },
-      ctx);
-  if (ctx != nullptr && ctx->StopRequested()) return;
-
-  // Combined exclusive prefix in (value, chunk) order: each chunk's slot
-  // for value v becomes the base offset where that chunk scatters its v's.
-  uint64_t running = 0;
-  for (size_t v = 0; v < domain; ++v) {
-    for (size_t c = 0; c < chunks; ++c) {
-      uint64_t* slot = hist + c * domain + v;
-      const uint64_t freq = *slot;
-      *slot = running;
-      running += freq;
-    }
+  if (!sort_internal::CountChunks(
+          grid, domain, hist, [keys](size_t i) { return keys[i]; }, pool,
+          ctx)) {
+    return;
   }
-
-  pool.ParallelFor(
-      chunks,
-      [&](uint64_t begin, uint64_t end, int) {
-        for (size_t c = begin; c < end; ++c) {
-          uint64_t* h = hist + c * domain;
-          const size_t lo = c * chunk_len;
-          const size_t hi = std::min(lo + chunk_len, n);
-          for (size_t i = lo; i < hi; ++i) {
+  sort_internal::ChunkMajorOffsets(grid, domain, hist);
+  if (!sort_internal::ScatterChunks(
+          grid, domain, hist,
+          [keys, oids, oid_out](size_t i, uint64_t* h) {
             oid_out[h[keys[i]]++] = oids[i];
-          }
-        }
-      },
-      ctx);
-  if (ctx != nullptr && ctx->StopRequested()) return;
+          },
+          pool, ctx)) {
+    return;
+  }
 
   pool.ParallelFor(
       n,
@@ -208,7 +177,7 @@ void ParallelCountingSortImpl(K* keys, uint32_t* oids, size_t n,
   // Key regeneration from the last chunk's advanced offsets (= each
   // value's global end). One sequential store pass; cheap enough serial.
   size_t pos = 0;
-  const uint64_t* last = hist + (chunks - 1) * domain;
+  const uint64_t* last = hist + (grid.chunks - 1) * domain;
   for (size_t v = 0; v < domain; ++v) {
     const size_t stop = static_cast<size_t>(last[v]);
     for (; pos < stop; ++pos) keys[pos] = static_cast<K>(v);

@@ -225,6 +225,9 @@ void ExpectSameSortConstants(const CostParams& a, const CostParams& b) {
   EXPECT_EQ(a.counting.per_bucket, b.counting.per_bucket);
   EXPECT_EQ(a.counting.row_cache, b.counting.row_cache);
   EXPECT_EQ(a.counting.row_mem, b.counting.row_mem);
+  EXPECT_EQ(a.radix.overhead, b.radix.overhead);
+  EXPECT_EQ(a.radix.row_pass_cache, b.radix.row_pass_cache);
+  EXPECT_EQ(a.radix.row_pass_mem, b.radix.row_pass_mem);
 }
 
 TEST(CalibrationFileTest, LegacyOvcLinesAreIgnored) {
@@ -271,6 +274,65 @@ TEST(CalibrationFileTest, LegacyOvcLinesAreIgnored) {
        {legacy_path, current_path, incomplete_path, saved_path}) {
     std::remove(path.c_str());
   }
+}
+
+TEST(CalibrationFileTest, PreRadixFilesLoadWithRadixDefaults) {
+  // Files written before the radix kernel returned have no `radix=` line.
+  // They stay complete — nothing forces a recalibration — and the radix
+  // constants keep their defaults; a file with the line loads it.
+  const std::string head =
+      "cache_cycles=4.5\nmem_cycles=31\nmassage_cycles=1.25\n"
+      "scan_cycles=2.5\nbank16=301,2.5,44,2\nbank32=302,2.25,48,2.5\n"
+      "bank64=353,6,110,4.75\ncounting=310,2.5,3.5,12.5\n";
+  const std::string old_path = WriteTempFile("pre_radix_calib.txt", head);
+  const std::string new_path =
+      WriteTempFile("radix_calib.txt", head + "radix=3000,4.5,9.5\n");
+  const CostParams defaults = CostParams::Default();
+  CostParams old_params = defaults;
+  CostParams new_params = defaults;
+  EXPECT_TRUE(LoadParams(old_path.c_str(), &old_params));
+  EXPECT_TRUE(LoadParams(new_path.c_str(), &new_params));
+  EXPECT_EQ(old_params.counting.row_mem, 12.5);
+  EXPECT_EQ(old_params.radix.overhead, defaults.radix.overhead);
+  EXPECT_EQ(old_params.radix.row_pass_cache, defaults.radix.row_pass_cache);
+  EXPECT_EQ(old_params.radix.row_pass_mem, defaults.radix.row_pass_mem);
+  EXPECT_EQ(new_params.radix.overhead, 3000);
+  EXPECT_EQ(new_params.radix.row_pass_cache, 4.5);
+  EXPECT_EQ(new_params.radix.row_pass_mem, 9.5);
+
+  // SaveParams writes the radix line, and it loads back unchanged.
+  const std::string saved_path = WriteTempFile("saved_radix_calib.txt", "");
+  ASSERT_TRUE(SaveParams(new_params, saved_path.c_str()));
+  CostParams reloaded = defaults;
+  EXPECT_TRUE(LoadParams(saved_path.c_str(), &reloaded));
+  ExpectSameSortConstants(new_params, reloaded);
+  for (const std::string& path : {old_path, new_path, saved_path}) {
+    std::remove(path.c_str());
+  }
+}
+
+TEST(RadixCostTest, ChargesOnePassPerDigit) {
+  // One uniform 24- or 25-bit column, one round in the 32-bit bank: 3 vs 4
+  // digit passes over the same rows and residency, so past the fixed
+  // per-invocation overhead the radix term grows by exactly 4/3.
+  const CostParams params = CostParams::Default();
+  const CostModel model(params);
+  const uint64_t n = uint64_t{1} << 20;
+  double sort_cycles[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
+    const int width = 24 + i;
+    const ColumnStats column = MakeStats(width, 1 << 16, 1 << 16, 7 + i);
+    const SortInstanceStats stats{n, {&column}};
+    const CostModel::PlanEstimate est =
+        model.Estimate(MassagePlan({{width, 32}}), stats,
+                       KernelBit(SortKernel::kSimdMerge) |
+                           KernelBit(SortKernel::kRadix));
+    ASSERT_EQ(est.rounds.size(), 1u);
+    // A single million-row group: radix undercuts the merge term.
+    EXPECT_EQ(est.rounds[0].kernel, SortKernel::kRadix) << width;
+    sort_cycles[i] = est.rounds[0].t_sort - params.radix.overhead;
+  }
+  EXPECT_NEAR(sort_cycles[1] / sort_cycles[0], 4.0 / 3.0, 1e-9);
 }
 
 TEST(LinearSolverTest, RecoversExactSolution) {

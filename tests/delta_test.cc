@@ -25,7 +25,9 @@
 #include "mcsort/delta/dml.h"
 #include "mcsort/delta/merge_scan.h"
 #include "mcsort/delta/table_version.h"
+#include "mcsort/engine/query.h"
 #include "mcsort/net/protocol.h"
+#include "mcsort/plan/roga.h"
 #include "mcsort/scan/byteslice_scan.h"
 #include "mcsort/service/query_service.h"
 #include "mcsort/storage/dictionary.h"
@@ -581,6 +583,15 @@ TEST(SpillKeyWidthTest, OverWideKeyIsTypedNotSilent) {
   EXPECT_TRUE(run.result.spill_key_too_wide);
   EXPECT_EQ(
       service.metrics().counter("exec.spill.key_too_wide")->value(), 1u);
+  EXPECT_EQ(run.status.code, StatusCode::kResourceExhausted);
+  EXPECT_NE(run.status.detail.find("composite sort key is 135 bits"),
+            std::string::npos)
+      << run.status.detail;
+  // Not even the all-16-bit plan fits 1 KiB, so the refusal comes without
+  // a capped re-plan: only the first, uncapped search ran.
+  EXPECT_GT(QueryExecutor::MinPlanScratchBytes(135, n), size_t{1024});
+  EXPECT_EQ(run.result.bank_cap, 0);
+  EXPECT_LE(run.result.plans_costed, kMaxPlansCosted);
 }
 
 // ---------------------------------------------------------------------------

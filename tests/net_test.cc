@@ -1048,12 +1048,14 @@ class OutcomeAgreementTest : public ::testing::Test {
     service_options.spill.enabled = spill;
     service_options.spill.dir = "/dev/null/mcsort-spill";
     // Price every sub-64-bit sort out, so the over-budget router spills
-    // on the first attempt instead of degrading to a narrower plan.
+    // on the first attempt instead of degrading to a narrower plan. Radix
+    // has one term for every bank, so it is priced out altogether.
     CostParams& params = service_options.params;
     for (BankSortParams* bank : {&params.bank16, &params.bank32}) {
       bank->sort_network = 1e6;
     }
     params.counting.row_cache = params.counting.row_mem = 1e6;
+    params.radix.row_pass_cache = params.radix.row_pass_mem = 1e6;
     service_ = std::make_unique<QueryService>(service_options);
     service_->RegisterTable("t", table_);
     if (budget_divisor > 0) {

@@ -1,5 +1,5 @@
-// Tests for the per-round sort kernels (SIMD merge, counting sort) and the
-// kernel-choice plan dimension.
+// Tests for the per-round sort kernels (SIMD merge, counting sort, LSD
+// radix) and the kernel-choice plan dimension.
 //
 // The load-bearing invariant is Lemma-1 equivalence: every kernel must
 // produce the same sorted key sequence and the same group structure as a
@@ -27,6 +27,7 @@
 #include "mcsort/plan/roga.h"
 #include "mcsort/service/signature.h"
 #include "mcsort/sort/counting_sort.h"
+#include "mcsort/sort/radix_sort.h"
 #include "mcsort/sort/simd_sort.h"
 #include "mcsort/storage/statistics.h"
 #include "mcsort/storage/table.h"
@@ -108,9 +109,10 @@ const Pattern kAllPatterns[] = {
     Pattern::kZipf,      Pattern::kKEqualsN,
 };
 
-// Sizes straddling the interesting thresholds: insertion-sort cutoff,
-// in-register runs, multiple merge passes.
-const size_t kSizes[] = {0, 1, 2, 3, 33, 65, 1000, 4096, 4097, 20000};
+// Sizes straddling the interesting thresholds: insertion-sort cutoffs
+// (merge 32, radix and counting 64), in-register runs, multiple merge
+// passes.
+const size_t kSizes[] = {0, 1, 2, 3, 33, 64, 65, 1000, 4096, 4097, 20000};
 
 template <typename K>
 void RunSerialKernels(int width, uint64_t seed) {
@@ -140,6 +142,15 @@ void RunSerialKernels(int width, uint64_t seed) {
                               width, scratch);
         CheckEquivalent(original, keys, oids);
       }
+      // Radix (every width).
+      {
+        auto keys = original;
+        std::vector<uint32_t> oids(n);
+        std::iota(oids.begin(), oids.end(), 0);
+        RadixSortPairsBank(sizeof(K) * 8, keys.data(), oids.data(), n, width,
+                           scratch);
+        CheckEquivalent(original, keys, oids);
+      }
     }
   }
 }
@@ -158,26 +169,188 @@ TEST(SortKernelsSerialTest, Bank64AllPatterns) {
   for (int width : {1, 19, 20, 40, 64}) RunSerialKernels<uint64_t>(width, 3000);
 }
 
-// Counting sort must be stable: equal keys keep their input payload order.
-// (Merge kernels are not required to be — the ScanGroups pass only needs
-// group boundaries — but counting's stability is what makes its grouped
-// output deterministic, so pin it.)
-TEST(SortKernelsSerialTest, CountingSortIsStable) {
+// Equal keys keep their input payload order.
+template <typename K>
+void CheckStable(const std::vector<K>& original, const std::vector<K>& keys,
+                 const std::vector<uint32_t>& oids) {
+  for (size_t i = 1; i < keys.size(); ++i) {
+    ASSERT_LE(keys[i - 1], keys[i]);
+    if (keys[i - 1] == keys[i]) {
+      ASSERT_LT(oids[i - 1], oids[i]) << "instability at " << i;
+    }
+    ASSERT_EQ(original[oids[i]], keys[i]);
+  }
+}
+
+// Counting and radix sort must be stable: equal keys keep their input
+// payload order. (Merge kernels are not required to be — the ScanGroups
+// pass only needs group boundaries — but stability is what makes these
+// kernels' grouped output deterministic, and it is what lets the parallel
+// kernels reproduce the serial ones exactly, so pin it.)
+TEST(SortKernelsSerialTest, CountingAndRadixSortsAreStable) {
   SortScratch scratch;
   for (size_t n : {size_t{100}, size_t{5000}}) {
-    auto keys = MakeKeys<uint32_t>(Pattern::kFewDistinct, n, 8, 77);
-    const auto original = keys;
+    const auto original = MakeKeys<uint32_t>(Pattern::kFewDistinct, n, 8, 77);
+    auto keys = original;
     std::vector<uint32_t> oids(n);
     std::iota(oids.begin(), oids.end(), 0);
     CountingSortPairs32(keys.data(), oids.data(), n, 8, scratch);
-    for (size_t i = 1; i < n; ++i) {
-      ASSERT_LE(keys[i - 1], keys[i]);
-      if (keys[i - 1] == keys[i]) {
-        ASSERT_LT(oids[i - 1], oids[i]) << "instability at " << i;
+    CheckStable(original, keys, oids);
+    // 20 bits of few distinct values: three digits, the top one constant.
+    const auto wide = MakeKeys<uint32_t>(Pattern::kFewDistinct, n, 20, 78);
+    keys = wide;
+    std::iota(oids.begin(), oids.end(), 0);
+    RadixSortPairs32(keys.data(), oids.data(), n, 20, scratch);
+    CheckStable(wide, keys, oids);
+  }
+}
+
+// --- Radix edge cases ------------------------------------------------------
+
+template <typename K>
+void RunRadixAllWidths(uint64_t seed) {
+  SortScratch scratch;
+  constexpr int kBankBits = static_cast<int>(sizeof(K) * 8);
+  for (int width = 1; width <= kBankBits; ++width) {
+    for (size_t n : {size_t{63}, size_t{64}, size_t{65}, size_t{300}}) {
+      for (Pattern pattern : {Pattern::kRandom, Pattern::kFewDistinct}) {
+        const auto original = MakeKeys<K>(pattern, n, width, seed + width + n);
+        auto keys = original;
+        std::vector<uint32_t> oids(n);
+        std::iota(oids.begin(), oids.end(), 0);
+        RadixSortPairsBank(kBankBits, keys.data(), oids.data(), n, width,
+                           scratch);
+        CheckEquivalent(original, keys, oids);
       }
-      ASSERT_EQ(original[oids[i]], keys[i]);
     }
   }
+}
+
+TEST(RadixSortTest, EveryWidthInEveryBank) {
+  RunRadixAllWidths<uint16_t>(100);
+  RunRadixAllWidths<uint32_t>(200);
+  RunRadixAllWidths<uint64_t>(300);
+}
+
+TEST(RadixSortTest, ConstantDigitsAreSkippedNotMissorted) {
+  // Only one digit of a 24-bit key varies, or two, or none: constant
+  // digits skip their scatter (and are never the partition digit of a
+  // large input), and an odd number of scatter passes must still land the
+  // result in the caller's arrays. 5000 rows run plain LSD passes, 100000
+  // the top-digit partition, serially and cooperatively.
+  ThreadPool pool(4);
+  std::vector<SortScratch> scratches(static_cast<size_t>(pool.num_threads()));
+  SortScratch scratch;
+  Rng rng(401);
+  for (size_t n : {size_t{5000}, size_t{100000}}) {
+    for (const uint32_t varying_mask :
+         {0x0000FFu, 0x00FF00u, 0xFF0000u, 0xFF00FFu, 0x000000u}) {
+      std::vector<uint32_t> original(n);
+      for (auto& k : original) {
+        k = 0x010001u | (static_cast<uint32_t>(rng.Next()) & varying_mask);
+      }
+      auto keys = original;
+      std::vector<uint32_t> oids(n);
+      std::iota(oids.begin(), oids.end(), 0);
+      RadixSortPairs32(keys.data(), oids.data(), n, 24, scratch);
+      CheckEquivalent(original, keys, oids);
+      CheckStable(original, keys, oids);
+      auto parallel_keys = original;
+      std::vector<uint32_t> parallel_oids(n);
+      std::iota(parallel_oids.begin(), parallel_oids.end(), 0);
+      ParallelRadixSortPairsBank(32, parallel_keys.data(),
+                                 parallel_oids.data(), n, 24, pool,
+                                 scratches, nullptr);
+      EXPECT_EQ(parallel_keys, keys) << n << " rows, mask " << varying_mask;
+      EXPECT_EQ(parallel_oids, oids) << n << " rows, mask " << varying_mask;
+    }
+  }
+}
+
+TEST(RadixSortTest, LargeInputsAroundThePartitionCutoff) {
+  // From 2^15 rows the serial kernel partitions on the top non-constant
+  // digit first, and recurses into buckets that are large themselves.
+  SortScratch scratch;
+  for (size_t n : {size_t{1} << 15, (size_t{1} << 15) - 1,
+                   (size_t{1} << 15) + 1, size_t{300000}}) {
+    for (Pattern pattern :
+         {Pattern::kRandom, Pattern::kFewDistinct, Pattern::kZipf}) {
+      for (int width : {16, 24, 40, 64}) {
+        const auto original = MakeKeys<uint64_t>(pattern, n, width, n + width);
+        auto keys = original;
+        std::vector<uint32_t> oids(n);
+        std::iota(oids.begin(), oids.end(), 0);
+        RadixSortPairs64(keys.data(), oids.data(), n, width, scratch);
+        CheckEquivalent(original, keys, oids);
+        CheckStable(original, keys, oids);
+      }
+    }
+  }
+}
+
+TEST(RadixSortTest, KeysWithEveryBitSet) {
+  // The all-ones key of each width sorts after everything else, and the
+  // top digit of a 64-bit key (shift 56) is handled.
+  SortScratch scratch;
+  for (int width : {8, 16, 31, 32, 40, 63, 64}) {
+    const uint64_t ones = LowBitsMask(width);
+    const size_t n = 1000;
+    std::vector<uint64_t> original(n);
+    Rng rng(500 + width);
+    for (size_t i = 0; i < n; ++i) {
+      original[i] = i % 3 == 0 ? ones : (rng.Next() & ones);
+    }
+    auto keys = original;
+    std::vector<uint32_t> oids(n);
+    std::iota(oids.begin(), oids.end(), 0);
+    RadixSortPairs64(keys.data(), oids.data(), n, width, scratch);
+    CheckEquivalent(original, keys, oids);
+    EXPECT_EQ(keys.back(), ones) << width;
+  }
+  std::vector<uint16_t> keys16(200, 0xFFFF);
+  keys16[7] = 0;
+  std::vector<uint32_t> oids16(200);
+  std::iota(oids16.begin(), oids16.end(), 0);
+  RadixSortPairs16(keys16.data(), oids16.data(), 200, 16, scratch);
+  EXPECT_EQ(keys16.front(), 0);
+  EXPECT_EQ(oids16.front(), 7u);
+}
+
+// The parallel radix kernel (and its serial fallback below
+// kParallelSortMinRows) must give the serial kernel's exact, stable output
+// in every bank.
+template <typename K>
+void CheckParallelRadixMatchesSerial(int width, ThreadPool& pool) {
+  std::vector<SortScratch> scratches(static_cast<size_t>(pool.num_threads()));
+  SortScratch serial_scratch;
+  constexpr int kBankBits = static_cast<int>(sizeof(K) * 8);
+  for (size_t n : {kParallelSortMinRows - 1, kParallelSortMinRows,
+                   kParallelSortMinRows + 1, size_t{100000}}) {
+    for (Pattern pattern : {Pattern::kRandom, Pattern::kFewDistinct,
+                            Pattern::kAllEqual}) {
+      const auto original = MakeKeys<K>(pattern, n, width, n + width);
+      auto want_keys = original;
+      std::vector<uint32_t> want_oids(n);
+      std::iota(want_oids.begin(), want_oids.end(), 0);
+      RadixSortPairsBank(kBankBits, want_keys.data(), want_oids.data(), n,
+                         width, serial_scratch);
+      auto keys = original;
+      std::vector<uint32_t> oids(n);
+      std::iota(oids.begin(), oids.end(), 0);
+      ParallelRadixSortPairsBank(kBankBits, keys.data(), oids.data(), n,
+                                 width, pool, scratches, nullptr);
+      EXPECT_EQ(keys, want_keys) << n << " rows, " << width << " bits";
+      EXPECT_EQ(oids, want_oids) << n << " rows, " << width << " bits";
+    }
+  }
+}
+
+TEST(RadixSortTest, ParallelMatchesSerialKernel) {
+  ThreadPool pool(4);
+  CheckParallelRadixMatchesSerial<uint16_t>(13, pool);
+  CheckParallelRadixMatchesSerial<uint32_t>(27, pool);
+  CheckParallelRadixMatchesSerial<uint64_t>(40, pool);
+  CheckParallelRadixMatchesSerial<uint64_t>(64, pool);
 }
 
 template <typename K>
@@ -202,6 +375,14 @@ void RunParallelKernels(int width, int threads, uint64_t seed) {
         std::iota(oids.begin(), oids.end(), 0);
         ParallelCountingSortPairsBank(sizeof(K) * 8, keys.data(), oids.data(),
                                       n, width, pool, scratches, nullptr);
+        CheckEquivalent(original, keys, oids);
+      }
+      {
+        auto keys = original;
+        std::vector<uint32_t> oids(n);
+        std::iota(oids.begin(), oids.end(), 0);
+        ParallelRadixSortPairsBank(sizeof(K) * 8, keys.data(), oids.data(), n,
+                                   width, pool, scratches, nullptr);
         CheckEquivalent(original, keys, oids);
       }
     }
@@ -265,7 +446,16 @@ TEST(SortKernelsParallelTest, CancellationMidRoundUnwinds) {
                                   scratches, &ctx);
     for (uint32_t oid : oids) ASSERT_LT(oid, n);
   }
-  // End-to-end: the executor reports the cancellation as a typed status.
+  {
+    auto keys = MakeKeys<uint64_t>(Pattern::kRandom, n, 40, 12);
+    std::vector<uint32_t> oids(n);
+    std::iota(oids.begin(), oids.end(), 0);
+    ParallelRadixSortPairsBank(64, keys.data(), oids.data(), n, 40, pool,
+                               scratches, &ctx);
+    for (uint32_t oid : oids) ASSERT_LT(oid, n);
+  }
+  // End-to-end: the executor reports the cancellation as a typed status,
+  // whichever kernel the round runs.
   EncodedColumn c1(14, n);
   EncodedColumn c2(14, n);
   Rng rng(11);
@@ -276,10 +466,13 @@ TEST(SortKernelsParallelTest, CancellationMidRoundUnwinds) {
   std::vector<MassageInput> inputs = {{&c1, SortOrder::kAscending},
                                       {&c2, SortOrder::kAscending}};
   MultiColumnSorter sorter(&pool);
-  MassagePlan plan = MassagePlan::ColumnAtATime({14, 14});
-  plan.mutable_round(1)->kernel = SortKernel::kCounting;
-  const auto result = sorter.Sort(inputs, plan, ctx);
-  EXPECT_EQ(result.status.code, StatusCode::kCancelled);
+  for (SortKernel kernel : {SortKernel::kCounting, SortKernel::kRadix}) {
+    MassagePlan plan = MassagePlan::ColumnAtATime({14, 14});
+    plan.mutable_round(1)->kernel = kernel;
+    const auto result = sorter.Sort(inputs, plan, ctx);
+    EXPECT_EQ(result.status.code, StatusCode::kCancelled)
+        << SortKernelName(kernel);
+  }
 }
 
 TEST(KernelMaskTest, ParseKernelMask) {
@@ -290,31 +483,32 @@ TEST(KernelMaskTest, ParseKernelMask) {
             KernelBit(SortKernel::kSimdMerge));
   EXPECT_EQ(ParseKernelMask("counting", fallback),
             KernelBit(SortKernel::kCounting));
-  EXPECT_EQ(ParseKernelMask(" merge , counting ", fallback), kRoutableKernels);
+  EXPECT_EQ(ParseKernelMask("radix", fallback),
+            KernelBit(SortKernel::kRadix));
+  EXPECT_EQ(ParseKernelMask(" merge , counting ", fallback),
+            KernelBit(SortKernel::kSimdMerge) |
+                KernelBit(SortKernel::kCounting));
+  EXPECT_EQ(ParseKernelMask("merge,counting,radix", fallback),
+            kRoutableKernels);
   // Unknown / empty input keeps the fallback rather than masking everything.
   EXPECT_EQ(ParseKernelMask("", fallback), fallback);
   EXPECT_EQ(ParseKernelMask("bogus", fallback), fallback);
-  // The in-memory OVC merge and radix kernels were removed: their names
-  // must not silently mean "all kernels" — each unknown token is named in
-  // one warning, and the rest of the list still applies.
-  for (const char* retired : {"ovc", "radix"}) {
-    testing::internal::CaptureStderr();
-    EXPECT_EQ(ParseKernelMask(retired, fallback), fallback);
-    const std::string warning = testing::internal::GetCapturedStderr();
-    EXPECT_NE(warning.find(std::string("'") + retired + "'"),
-              std::string::npos)
-        << warning;
-    EXPECT_EQ(std::count(warning.begin(), warning.end(), '\n'), 1)
-        << warning;
-  }
+  // The in-memory OVC merge kernel was removed: its name must not silently
+  // mean "all kernels" — the unknown token is named in one warning, and
+  // the rest of the list still applies.
   testing::internal::CaptureStderr();
-  EXPECT_EQ(ParseKernelMask("merge,ovc", fallback),
-            KernelBit(SortKernel::kSimdMerge));
+  EXPECT_EQ(ParseKernelMask("ovc", fallback), fallback);
+  const std::string warning = testing::internal::GetCapturedStderr();
+  EXPECT_NE(warning.find("'ovc'"), std::string::npos) << warning;
+  EXPECT_EQ(std::count(warning.begin(), warning.end(), '\n'), 1) << warning;
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(ParseKernelMask("radix,ovc", fallback),
+            KernelBit(SortKernel::kRadix));
   EXPECT_NE(testing::internal::GetCapturedStderr().find("'ovc'"),
             std::string::npos);
   // Known spellings parse without a warning.
   testing::internal::CaptureStderr();
-  ParseKernelMask("merge,counting", fallback);
+  ParseKernelMask("merge,counting,radix", fallback);
   EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 
@@ -325,7 +519,7 @@ TEST(KernelMaskTest, ParseKernelMask) {
 // annotation — the CI kernel matrix runs this binary that way.
 bool EnvForcedKernel(SortKernel* out) {
   const SortKernelMask mask = KernelMaskFromEnv(0);
-  for (SortKernel kernel : {SortKernel::kSimdMerge, SortKernel::kCounting}) {
+  for (SortKernel kernel : kAllSortKernels) {
     if (mask == KernelBit(kernel)) {
       *out = kernel;
       return true;
@@ -391,7 +585,7 @@ TEST(KernelEndToEndTest, AllKernelsProduceIdenticalSorts) {
     const MassagePlan base = MassagePlan::ColumnAtATime(inst.Widths());
     MultiColumnSortResult reference;
     bool have_reference = false;
-    for (SortKernel kernel : {SortKernel::kSimdMerge, SortKernel::kCounting}) {
+    for (SortKernel kernel : kAllSortKernels) {
       MassagePlan plan = base;
       for (size_t j = 0; j < plan.num_rounds(); ++j) {
         plan.mutable_round(j)->kernel = kernel;
@@ -406,6 +600,34 @@ TEST(KernelEndToEndTest, AllKernelsProduceIdenticalSorts) {
       if (!have_reference) {
         reference = result;
         have_reference = true;
+      } else {
+        CheckSameSortedOutput(inst, reference, result);
+      }
+    }
+  }
+}
+
+TEST(KernelEndToEndTest, RadixMatchesMergeOnWideStitchedRounds) {
+  // Rounds past the counting cap, in the 32- and 64-bit banks: the first
+  // round is one huge segment (the cooperative parallel radix path), later
+  // rounds are mid and tiny segments.
+  Instance inst = MakeInstance({10, 17, 40}, 60000, 41, uint64_t{1} << 40);
+  ThreadPool pool(4);
+  MultiColumnSorter sorter(&pool);
+  for (const MassagePlan& base :
+       {MassagePlan::ColumnAtATime(inst.Widths()),
+        MassagePlan({{27, 32}, {40, 64}}), MassagePlan({{30, 32}, {37, 64}})}) {
+    MultiColumnSortResult reference;
+    for (SortKernel kernel : {SortKernel::kSimdMerge, SortKernel::kRadix}) {
+      MassagePlan plan = base;
+      for (size_t j = 0; j < plan.num_rounds(); ++j) {
+        plan.mutable_round(j)->kernel = kernel;
+      }
+      const auto result = sorter.Sort(inst.Inputs(), plan);
+      ASSERT_TRUE(result.status.ok());
+      EXPECT_EQ(result.rounds[0].cooperative_sorts, 1u);
+      if (kernel == SortKernel::kSimdMerge) {
+        reference = result;
       } else {
         CheckSameSortedOutput(inst, reference, result);
       }
@@ -451,7 +673,7 @@ class TempDir {
 
 TEST(KernelSnapshotTest, KernelsAgreeAcrossBufferedAndMmapLoads) {
   // Sort the same saved table through every kernel under both load paths;
-  // all four results must be Lemma-1 identical.
+  // all six results must be Lemma-1 identical.
   const size_t rows = 20000;
   Instance inst = MakeInstance({12, 8}, rows, 51, 1 << 8);
   Table table;
@@ -480,7 +702,7 @@ TEST(KernelSnapshotTest, KernelsAgreeAcrossBufferedAndMmapLoads) {
     std::vector<MassageInput> inputs = {
         {&loaded.column("a"), SortOrder::kAscending},
         {&loaded.column("b"), SortOrder::kAscending}};
-    for (SortKernel kernel : {SortKernel::kSimdMerge, SortKernel::kCounting}) {
+    for (SortKernel kernel : kAllSortKernels) {
       MultiColumnSorter sorter;
       MassagePlan plan = MassagePlan::ColumnAtATime({12, 8});
       for (size_t j = 0; j < plan.num_rounds(); ++j) {
@@ -534,6 +756,38 @@ TEST(KernelRoutingTest, RogaRoutesLowCardinalityRoundsToCounting) {
     if (round.kernel == SortKernel::kCounting) routed_counting = true;
   }
   EXPECT_TRUE(routed_counting) << result.plan.ToString();
+}
+
+TEST(KernelRoutingTest, RogaRoutesWideHighCardinalityRoundsToRadix) {
+  // Two uniform 20-bit columns over 4M rows: whichever plan wins, its
+  // wide rounds sort large groups over domains too wide for counting,
+  // where the radix term undercuts merge's.
+  ColumnStats stats_a;
+  ColumnStats stats_b;
+  {
+    EncodedColumn a(20, 1 << 16);
+    EncodedColumn b(20, 1 << 16);
+    Rng rng(63);
+    for (size_t r = 0; r < a.size(); ++r) {
+      a.Set(r, rng.Next() & 0xFFFFF);
+      b.Set(r, rng.Next() & 0xFFFFF);
+    }
+    stats_a = ColumnStats::Build(a);
+    stats_b = ColumnStats::Build(b);
+  }
+  SortInstanceStats stats;
+  stats.n = 1 << 22;
+  stats.columns = {&stats_a, &stats_b};
+  const CostModel model(CostParams::Default());
+  SearchOptions options;
+  options.kernels = kRoutableKernels;
+  const SearchResult result = RogaSearch(model, stats, options);
+  ASSERT_TRUE(result.plan.IsValid());
+  bool routed_radix = false;
+  for (const Round& round : result.plan.rounds()) {
+    if (round.kernel == SortKernel::kRadix) routed_radix = true;
+  }
+  EXPECT_TRUE(routed_radix) << result.plan.ToString();
 }
 
 TEST(KernelRoutingTest, MergeOnlyMaskNeverRoutesElsewhere) {
